@@ -28,7 +28,6 @@
 #include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
 #include "runtime/thread_pool.hpp"
@@ -88,15 +87,6 @@ inline bool strip_bare_flag(int* argc, char** argv, const char* name) {
     found = true;
   }
   return found;
-}
-
-/// Strips --no-access-cache; when present the run ablates the access
-/// index and every sample falls back to the cone-prefilter sweep.
-/// Output is identical either way — the golden suite enforces it.
-inline void parse_access_cache_flag(int* argc, char** argv) {
-  if (strip_bare_flag(argc, argv, "--no-access-cache")) {
-    orbit::set_access_cache_enabled(false);
-  }
 }
 
 /// Parses and strips --threads. Accepts "--threads N" and
@@ -365,7 +355,6 @@ inline void note(const char* text) { std::printf("  %s\n", text); }
     ::satnet::bench::parse_obs_flags(&argc, argv);       \
     ::satnet::bench::parse_recorder_flags(&argc, argv);  \
     ::satnet::bench::parse_fault_flag(&argc, argv);      \
-    ::satnet::bench::parse_access_cache_flag(&argc, argv); \
     ::satnet::bench::parse_timeline_flags(&argc, argv);  \
     ::benchmark::Initialize(&argc, argv);                \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \

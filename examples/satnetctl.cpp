@@ -45,13 +45,12 @@
 //                        instead of aborting on shard failure
 // The active plan and its event summary land in the run manifest.
 //
-// Ablation: --no-access-cache disables the access-interval visibility
-// index (src/orbit/access_index.*) so every sample re-runs the full
-// cone-prefilter sweep. Output is byte-identical either way.
-//
 // Timeline: campaign-running commands precompute the epoch timeline
-// before sharding (src/orbit/timeline.*) and replay it as pure lookups.
-//   --no-timeline        ablate the precompute (on-demand oracle path)
+// before sharding (src/orbit/timeline.*) and replay it as pure lookups,
+// with the access-interval index (src/orbit/access_index.*) answering
+// anything the timeline does not cover.
+//   --no-timeline        ablate both: every sample takes the exact path
+//                        (full cone-prefilter sweep, no index)
 //   --timeline-in PATH   warm-start from a saved timeline file
 //   --timeline-out PATH  save the built timeline for later warm starts
 // Output is byte-identical in every mode; a rejected --timeline-in file
@@ -74,7 +73,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/propagator.hpp"
 #include "orbit/sgp4.hpp"
@@ -374,9 +372,8 @@ int main(int argc, char** argv) {
                  "stalled pool workers,\n"
                  "and --fault-plan PATH [--retries N] [--degrade] to inject\n"
                  "a deterministic fault schedule (see README, src/fault)\n"
-                 "--no-access-cache ablates the access-interval index\n"
-                 "(byte-identical output, slower sampling)\n"
-                 "--no-timeline ablates the epoch-timeline precompute;\n"
+                 "--no-timeline ablates the epoch timeline and the\n"
+                 "access-interval index (exact path, slower sampling);\n"
                  "--timeline-in PATH warm-starts from a saved timeline and\n"
                  "--timeline-out PATH saves the built one (byte-identical\n"
                  "output in every mode)\n"
@@ -385,9 +382,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (has_flag(argc, argv, "--no-access-cache")) {
-    orbit::set_access_cache_enabled(false);
-  }
   if (has_flag(argc, argv, "--no-timeline")) {
     orbit::set_timeline_enabled(false);
   }

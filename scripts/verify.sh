@@ -91,7 +91,7 @@ if [[ "$run_golden" == 1 ]]; then
   echo "== golden: snapshot suite + determinism/fault repeat at varying threads =="
   cmake -B build -S .
   cmake --build build -j "${jobs}" --target golden_test determinism_test fault_test \
-    bench_ablation_access_cache bench_timeline bench_propagate benchreport
+    bench_timeline bench_propagate benchreport
   # The flake gate: the determinism-sensitive suites run 3x, golden_test
   # additionally asserting one more thread count each round. Snapshots
   # regenerate only via `golden_test --update-golden`, never here. The
@@ -108,11 +108,9 @@ if [[ "$run_golden" == 1 ]]; then
     ./build/tests/fault_test
     ./build/tests/determinism_test
   done
-  # Ablation rounds: the whole snapshot suite must be byte-identical with
-  # the access-interval index disabled (the cache's equivalence oracle)
-  # and with the epoch timeline disabled (the replay equivalence oracle).
-  echo "-- ablation round: golden_test --no-access-cache --"
-  ./build/tests/golden_test --no-access-cache
+  # Ablation round: the whole snapshot suite must be byte-identical on
+  # the exact access path (no epoch timeline, no access-interval index)
+  # — the equivalence oracle for both accelerators.
   echo "-- ablation round: golden_test --no-timeline --"
   ./build/tests/golden_test --no-timeline
   # Recorder round: the snapshot suite must be byte-identical with the
@@ -121,13 +119,9 @@ if [[ "$run_golden" == 1 ]]; then
   echo "-- recorder round: golden_test --recorder-out --"
   ./build/tests/golden_test --recorder-out build/golden-recorder.jsonl
   test -s build/golden-recorder.jsonl
-  # Cache speedup + byte-identity report (exits 1 on divergence); the
-  # JSON lands in the repo root for CI artifact upload / trend tracking.
-  echo "-- ablation bench: bench_ablation_access_cache --"
-  ./build/bench/bench_ablation_access_cache --benchmark_filter='measure_handoffs'
-  test -s BENCH_access_cache.json
   # Timeline cold/warm/no-timeline A/B (exits 1 on divergence) + the
-  # warm-replay speedup record.
+  # warm-replay speedup record; the JSON lands in the repo root for CI
+  # artifact upload / trend tracking.
   echo "-- timeline bench: bench_timeline --"
   ./build/bench/bench_timeline --benchmark_filter='sample_replay'
   test -s BENCH_timeline.json
@@ -143,10 +137,10 @@ if [[ "$run_golden" == 1 ]]; then
   # a local hard gate.
   echo "-- bench ledger: benchreport append + ratio gate --"
   ./build/tools/benchreport/benchreport --append \
-    BENCH_access_cache.json BENCH_timeline.json BENCH_propagate.json \
+    BENCH_timeline.json BENCH_propagate.json \
     --ledger bench/ledger --run-id "verify-$(git rev-parse --short HEAD 2>/dev/null || echo local)"
   ./build/tools/benchreport/benchreport --check \
-    BENCH_access_cache.json BENCH_timeline.json BENCH_propagate.json \
+    BENCH_timeline.json BENCH_propagate.json \
     --ledger bench/ledger --ratios-only --tolerance 0.5
 fi
 

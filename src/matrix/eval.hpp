@@ -37,9 +37,9 @@ struct EvalOptions {
   /// weather_escalation, burst_loss) by this fraction of the gap to the
   /// next same-(kind, target) window — see widen_plan().
   double widen_fraction = 0.0;
-  /// false ablates both the epoch timeline and the access-interval
-  /// cache for the duration of the evaluation (value-transparency
-  /// check); restored on exit.
+  /// false selects the exact access path (no epoch timeline, no
+  /// access-interval index) for the duration of the evaluation
+  /// (value-transparency check); restored on exit.
   bool use_timeline = true;
   Mutation mutation = Mutation::none;
 };
@@ -47,7 +47,7 @@ struct EvalOptions {
 /// Everything the invariants compare.
 struct WorldEval {
   /// Canonical text: spec summary, one line per terminal, aggregates.
-  /// Byte-identical across thread counts and cache ablations.
+  /// Byte-identical across thread counts and access ablations.
   std::string report;
   /// Terminal-major reachability bits: ok_bits[terminal * samples + k]
   /// is 1 when the terminal had a usable sky at sample k (reachable and

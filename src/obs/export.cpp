@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 namespace satnet::obs {
@@ -336,6 +337,22 @@ std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text) {
   return out;
 }
 
+namespace {
+
+/// Free text after "<wire> " in a "# NAME|HELP <wire> <text>" comment,
+/// unescaped. Token extraction would truncate text containing spaces, so
+/// this cuts the line after the wire token instead; a line that ends at
+/// the wire name (a truncated export) carries no text.
+std::optional<std::string> comment_text(const std::string& line, const std::string& kind,
+                                        const std::string& wire) {
+  const std::size_t wire_at = line.find(wire, line.find(kind) + kind.size());
+  const std::size_t text_at = wire_at + wire.size() + 1;
+  if (text_at > line.size()) return std::nullopt;
+  return prom_unescape_text(line.substr(text_at));
+}
+
+}  // namespace
+
 Snapshot parse_prometheus(const std::string& text) {
   Snapshot snap;
   std::map<std::string, std::string> wire_to_name;
@@ -349,11 +366,7 @@ Snapshot parse_prometheus(const std::string& text) {
       std::string hash, kind, wire, rest;
       ls >> hash >> kind >> wire >> rest;
       if (kind == "NAME") {
-        // Everything after "<wire> " is the (escaped) registry name —
-        // token extraction would truncate names containing spaces.
-        const auto pos = line.find(wire);
-        wire_to_name[wire] =
-            prom_unescape_text(line.substr(pos + wire.size() + 1));
+        if (auto name = comment_text(line, kind, wire)) wire_to_name[wire] = *name;
       } else if (kind == "TYPE") {
         MetricValue m;
         const auto it = wire_to_name.find(wire);
@@ -363,10 +376,8 @@ Snapshot parse_prometheus(const std::string& text) {
                                        : MetricKind::counter;
         metrics[wire] = std::move(m);
       } else if (kind == "HELP") {
-        const auto pos = line.find(wire);
         if (auto it = metrics.find(wire); it != metrics.end()) {
-          it->second.help =
-              prom_unescape_text(line.substr(pos + wire.size() + 1));
+          it->second.help = comment_text(line, kind, wire).value_or("");
         } else {
           // HELP precedes TYPE in the wild; ours doesn't, but tolerate.
           wire_to_name.emplace(wire, wire);
@@ -508,19 +519,6 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
                   "  cone prefilter: %.0f swept / %.0f exact evals "
                   "(%.1fx reduction)\n",
                   swept->value, exact->value, swept->value / exact->value);
-    out += line;
-  }
-  // Derived: access-index cache effectiveness (PR 5's amortization claim).
-  const MetricValue* cache_hit = snapshot.find("access.cache.hit");
-  const MetricValue* cache_miss = snapshot.find("access.cache.miss");
-  if (cache_hit && cache_miss && cache_hit->value + cache_miss->value > 0) {
-    const MetricValue* inval = snapshot.find("access.cache.invalidation");
-    std::snprintf(line, sizeof(line),
-                  "  access cache: %.0f hits / %.0f misses (%.1f%% hit ratio, "
-                  "%.0f invalidated)\n",
-                  cache_hit->value, cache_miss->value,
-                  100.0 * cache_hit->value / (cache_hit->value + cache_miss->value),
-                  inval ? inval->value : 0.0);
     out += line;
   }
   // Derived: epoch-timeline replay effectiveness (PR 6's precompute

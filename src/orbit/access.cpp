@@ -61,29 +61,30 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
   if (config_.orbit == OrbitClass::geo) {
     return fleet_.best_visible(user, config_.min_elevation_deg);
   }
-  if (timeline_enabled()) {
-    if (const EpochTimeline* tl = EpochTimeline::find(identity_hash_)) {
-      SatId id{};
-      switch (tl->replay_serving(user, epoch_sec, &id)) {
-        case EpochTimeline::ServingReplay::outage:
-          return std::nullopt;
-        case EpochTimeline::ServingReplay::serving: {
-          // Reconstruct exactly as the index's serving memo does: id,
-          // position, elevation, and slant range are pure functions of
-          // (id, epoch), so the VisibleSat is bit-identical to the
-          // on-demand sweep's.
-          const geo::GeoPoint pos = constellation_->position(id, epoch_sec);
-          return VisibleSat{
-              id, pos, geo::elevation_deg(user, pos),
-              geo::slant_range_km(geo::GeoPoint{user.lat_deg, user.lon_deg, 0.0}, pos)};
-        }
-        case EpochTimeline::ServingReplay::miss:
-          break;  // uncovered epoch: fall through to the index / sweep
-      }
+  // --no-timeline is the exact reference path: no replay, no index.
+  if (!timeline_enabled()) {
+    return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
+  }
+  if (const EpochTimeline* tl = EpochTimeline::find(identity_hash_)) {
+    SatId id{};
+    switch (tl->replay_serving(user, epoch_sec, &id)) {
+      case EpochTimeline::ServingReplay::outage:
+        return std::nullopt;
+      case EpochTimeline::ServingReplay::serving:
+        return visible_at_epoch(user, id, epoch_sec);
+      case EpochTimeline::ServingReplay::miss:
+        break;  // uncovered epoch: the index answers instead
     }
   }
-  if (index_ && access_cache_enabled()) return index_->serving(user, epoch_sec);
-  return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
+  return index_->serving(user, epoch_sec);
+}
+
+VisibleSat AccessNetwork::visible_at_epoch(const geo::GeoPoint& user, const SatId& id,
+                                           double epoch_sec) const {
+  const geo::GeoPoint pos = constellation_->position(id, epoch_sec);
+  return VisibleSat{
+      id, pos, geo::elevation_deg(user, pos),
+      geo::slant_range_km(geo::GeoPoint{user.lat_deg, user.lon_deg, 0.0}, pos)};
 }
 
 double AccessNetwork::effective_reconfig_interval(double t_sec) const {
@@ -157,7 +158,6 @@ AccessSample AccessNetwork::sample(const geo::GeoPoint& user, double t_sec) cons
       }
     }
   }
-  if (index_ && access_cache_enabled()) return index_->sample(*this, user, t_sec, epoch);
   return build_sample(user, t_sec, serving_sat_at_epoch(user, epoch));
 }
 

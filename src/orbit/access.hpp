@@ -121,11 +121,15 @@ class AccessNetwork {
   std::uint64_t identity_hash() const { return identity_hash_; }
 
  private:
-  friend class AccessIndex;     ///< memoizes build_sample on cache misses
-  friend class EpochTimeline;   ///< precomputes serving/sample layers
+  friend class EpochTimeline;  ///< precomputes serving/sample layers
 
   std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
                                                  double epoch_sec) const;
+  /// Rebuilds the serving VisibleSat for a known satellite id. Position,
+  /// elevation and slant range are pure functions of (id, epoch), so the
+  /// result is bit-identical to the one the sweep that picked `id` made.
+  VisibleSat visible_at_epoch(const geo::GeoPoint& user, const SatId& id,
+                              double epoch_sec) const;
   /// Reconfiguration interval at time t: the configured interval, divided
   /// by the fault hook's handoff-storm scale when a storm window covers t.
   double effective_reconfig_interval(double t_sec) const;
@@ -137,9 +141,9 @@ class AccessNetwork {
   AccessConfig config_;
   std::shared_ptr<const Constellation> constellation_;  ///< null for GEO
   GeoFleet fleet_;                                      ///< empty for LEO/MEO
-  /// Visibility index + epoch memo (LEO/MEO only; null for GEO). Shared
-  /// across copies: the index holds only immutable derived data, and its
-  /// caches are value-transparent (see access_index.hpp).
+  /// Visibility index (LEO/MEO only; null for GEO). Shared across
+  /// copies: the index holds only immutable derived data, and its
+  /// candidate caches are value-transparent (see access_index.hpp).
   std::shared_ptr<const AccessIndex> index_;
   std::uint64_t identity_hash_ = 0;
 };

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
-#include "fault/hook.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
 
@@ -28,49 +26,14 @@ constexpr double kCellHalfDiagRad = 0.7072 * kPi / 180.0;
 /// index gate is reused across a whole slab).
 constexpr double kRoundingSlackRad = 1e-3;
 
-/// Soft bounds on the thread-local maps; crossing one clears that map
-/// (counted as evictions). Generous enough that campaigns never hit
-/// them — they exist so pathological query patterns stay bounded.
-constexpr std::size_t kMaxMemoEntries = std::size_t{1} << 20;
+/// Soft bound on a thread's candidate lists; crossing it clears the
+/// map. Generous enough that campaigns never hit it — it exists so
+/// pathological query patterns stay bounded.
 constexpr std::size_t kMaxSlabEntries = std::size_t{1} << 16;
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 void hash_mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
 }
-
-struct ServingKey {
-  std::uint64_t lat = 0, lon = 0, epoch = 0;
-  bool operator==(const ServingKey&) const = default;
-};
-
-struct ServingKeyHash {
-  std::size_t operator()(const ServingKey& k) const {
-    std::uint64_t h = 0x6b5fca5a17a4e3ull;
-    hash_mix(h, k.lat);
-    hash_mix(h, k.lon);
-    hash_mix(h, k.epoch);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct SampleKey {
-  std::uint64_t lat = 0, lon = 0, epoch = 0;
-  std::uint32_t era = 0;
-  bool operator==(const SampleKey&) const = default;
-};
-
-struct SampleKeyHash {
-  std::size_t operator()(const SampleKey& k) const {
-    std::uint64_t h = 0x2c4e99d31ab7f09ull;
-    hash_mix(h, k.lat);
-    hash_mix(h, k.lon);
-    hash_mix(h, k.epoch);
-    hash_mix(h, k.era);
-    return static_cast<std::size_t>(h);
-  }
-};
 
 struct SlabKey {
   std::int32_t cell_lat = 0, cell_lon = 0;
@@ -88,64 +51,32 @@ struct SlabKeyHash {
   }
 };
 
-struct Counters {
-  obs::Counter& hit;
-  obs::Counter& miss;
-  obs::Counter& invalidation;
-  obs::Counter& slab_build;
-  obs::Counter& eviction;
-};
-
-Counters& counters() {
-  // satlint:allow(shared-state): cached references to thread-safe striped counters; magic-static init is synchronized
-  static Counters c{
-      obs::MetricsRegistry::global().counter("access.cache.hit",
-                                             "access-index memo hits"),
-      obs::MetricsRegistry::global().counter("access.cache.miss",
-                                             "access-index memo misses"),
-      obs::MetricsRegistry::global().counter(
-          "access.cache.invalidation",
-          "memo entries dropped because a fault plan was (un)installed"),
-      obs::MetricsRegistry::global().counter(
-          "access.cache.slab_build", "(cell, slab) candidate lists built"),
-      obs::MetricsRegistry::global().counter(
-          "access.cache.eviction", "memo entries dropped by the size bound"),
-  };
+obs::Counter& slab_build_counter() {
+  // satlint:allow(shared-state): cached reference to a thread-safe striped counter; magic-static init is synchronized
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "access.cache.slab_build", "(cell, slab) candidate lists built");
   return c;
 }
 
-}  // namespace
+using SlabMap = std::unordered_map<SlabKey, std::vector<SatId>, SlabKeyHash>;
 
-namespace {
-
-/// A sentinel distinct from every real hook pointer *and* from nullptr,
-/// so a fresh cache always refreshes its era boundaries once.
-const fault::Hook* uninstalled_sentinel() {
-  static const char tag = 0;
-  return reinterpret_cast<const fault::Hook*>(&tag);
-}
-
-struct ThreadCache {
-  const fault::Hook* generation = uninstalled_sentinel();
-  std::vector<double> era_boundaries;
-  std::unordered_map<SlabKey, std::vector<SatId>, SlabKeyHash> slabs;
-  std::unordered_map<ServingKey, std::optional<VisibleSat>, ServingKeyHash> serving;
-  std::unordered_map<SampleKey, AccessSample, SampleKeyHash> samples;
-};
-
-/// Per-thread caches keyed by a process-unique index id (never a raw
-/// pointer: ids are not reused, so a new index at a recycled address
-/// cannot alias a dead one's cache).
-ThreadCache& thread_cache(std::uint64_t index_id) {
-  thread_local std::unordered_map<std::uint64_t, std::unique_ptr<ThreadCache>> caches;
-  auto& slot = caches[index_id];
-  if (!slot) slot = std::make_unique<ThreadCache>();
-  return *slot;
+/// Per-thread candidate lists keyed by a process-unique index id (never
+/// a raw pointer: ids are not reused, so a new index at a recycled
+/// address cannot alias a dead one's lists).
+SlabMap& thread_slabs(std::uint64_t index_id) {
+  thread_local std::unordered_map<std::uint64_t, SlabMap> caches;
+  return caches[index_id];
 }
 
 std::uint64_t next_index_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+SlabKey slab_key(const geo::GeoPoint& user, double epoch_sec, double slab_sec) {
+  return SlabKey{static_cast<std::int32_t>(std::floor(user.lat_deg / kCellDeg)),
+                 static_cast<std::int32_t>(std::floor(user.lon_deg / kCellDeg)),
+                 static_cast<std::int64_t>(std::floor(epoch_sec / slab_sec))};
 }
 
 }  // namespace
@@ -155,9 +86,6 @@ struct AccessIndex::Impl {
   std::shared_ptr<const Constellation> constellation;
   double min_elevation_deg = 0;
   double slab_sec = 60.0;
-  /// Era boundaries that exist without any fault plan: the PoP override
-  /// activation edges. Sorted, deduplicated, finite.
-  std::vector<double> static_boundaries;
   /// Per-shell cone gate at slab granularity: cos(theta_max + cell
   /// half-diagonal + motion slack + rounding slack).
   std::vector<double> cos_gate;
@@ -166,46 +94,15 @@ struct AccessIndex::Impl {
   /// satellite there, so one worst-case gate covers the catalog).
   double sgp4_cos_gate = 2.0;
 
-  void refresh_eras(ThreadCache& tc, const fault::Hook* hook) const;
-  const std::vector<SatId>& slab_candidates(ThreadCache& tc, const SlabKey& key) const;
-  std::optional<VisibleSat> serving_cached(ThreadCache& tc, const geo::GeoPoint& user,
-                                           double epoch_sec) const;
+  const std::vector<SatId>& slab_candidates(const SlabKey& key) const;
 };
 
-void AccessIndex::Impl::refresh_eras(ThreadCache& tc, const fault::Hook* hook) const {
-  if (tc.generation == hook) return;
-  tc.generation = hook;
-  tc.era_boundaries = static_boundaries;
-  if (hook) {
-    for (const auto& ev : hook->plan().events()) {
-      if (ev.kind != fault::EventKind::gateway_outage &&
-          ev.kind != fault::EventKind::handoff_storm) {
-        continue;
-      }
-      tc.era_boundaries.push_back(ev.t_start_sec);
-      tc.era_boundaries.push_back(ev.t_end_sec);
-    }
-    std::sort(tc.era_boundaries.begin(), tc.era_boundaries.end());
-    tc.era_boundaries.erase(
-        std::unique(tc.era_boundaries.begin(), tc.era_boundaries.end()),
-        tc.era_boundaries.end());
-  }
-  // Era numbering changed, so sample keys from the old plan are stale.
-  // The geometry layers (slabs, serving memo) are fault-independent and
-  // survive the swap — that is the "never the whole index" contract.
-  counters().invalidation.add(tc.samples.size());
-  tc.samples.clear();
-}
-
-const std::vector<SatId>& AccessIndex::Impl::slab_candidates(ThreadCache& tc,
-                                                             const SlabKey& key) const {
-  const auto it = tc.slabs.find(key);
-  if (it != tc.slabs.end()) return it->second;
-  if (tc.slabs.size() >= kMaxSlabEntries) {
-    counters().eviction.add(tc.slabs.size());
-    tc.slabs.clear();
-  }
-  counters().slab_build.add(1);
+const std::vector<SatId>& AccessIndex::Impl::slab_candidates(const SlabKey& key) const {
+  SlabMap& slabs = thread_slabs(id);
+  const auto it = slabs.find(key);
+  if (it != slabs.end()) return it->second;
+  if (slabs.size() >= kMaxSlabEntries) slabs.clear();
+  slab_build_counter().add(1);
 
   // One cone sweep per (cell, slab), sampled at the slab midpoint with
   // the gate widened so every satellite that can clear min_elevation_deg
@@ -239,61 +136,7 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(ThreadCache& tc,
       }
     }
   }
-  return tc.slabs.emplace(key, std::move(cands)).first->second;
-}
-
-std::optional<VisibleSat> AccessIndex::Impl::serving_cached(
-    ThreadCache& tc, const geo::GeoPoint& user, double epoch_sec) const {
-  // The serving satellite depends only on (lat, lon, epoch): the exact
-  // evaluation below zeroes ground altitude exactly as best_visible does.
-  const ServingKey key{bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec)};
-  if (const auto it = tc.serving.find(key); it != tc.serving.end()) {
-    counters().hit.add(1);
-    return it->second;
-  }
-  counters().miss.add(1);
-
-  const SlabKey slab{
-      static_cast<std::int32_t>(std::floor(user.lat_deg / kCellDeg)),
-      static_cast<std::int32_t>(std::floor(user.lon_deg / kCellDeg)),
-      static_cast<std::int64_t>(std::floor(epoch_sec / slab_sec))};
-  const std::vector<SatId>& cands = slab_candidates(tc, slab);
-
-  // Exact ephemeris over the candidate superset, in canonical order with
-  // strict-improvement selection: the same operations, on a superset of
-  // the same satellites, as best_visible's exact path — so the winner
-  // (and every double in it) matches the full sweep bit-for-bit.
-  std::optional<VisibleSat> best;
-  for (const SatId& id : cands) {
-    const geo::GeoPoint pos = constellation->position(id, epoch_sec);
-    const double elev = geo::elevation_deg(user, pos);
-    if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
-      best = VisibleSat{
-          id, pos, elev,
-          geo::slant_range_km({user.lat_deg, user.lon_deg, 0.0}, pos)};
-    }
-  }
-
-  if (tc.serving.size() >= kMaxMemoEntries) {
-    counters().eviction.add(tc.serving.size());
-    tc.serving.clear();
-  }
-  tc.serving.emplace(key, best);
-  return best;
-}
-
-namespace {
-
-std::atomic<bool> g_cache_enabled{true};
-
-}  // namespace
-
-bool access_cache_enabled() {
-  return g_cache_enabled.load(std::memory_order_relaxed);
-}
-
-void set_access_cache_enabled(bool enabled) {
-  g_cache_enabled.store(enabled, std::memory_order_relaxed);
+  return slabs.emplace(key, std::move(cands)).first->second;
 }
 
 AccessIndex::AccessIndex(const AccessConfig& config,
@@ -305,15 +148,6 @@ AccessIndex::AccessIndex(const AccessConfig& config,
   // Slabs cover a handful of reconfiguration epochs so one cone sweep
   // amortizes across them without the motion slack ballooning the gate.
   impl->slab_sec = std::max(60.0, 4.0 * config.reconfig_interval_sec);
-
-  for (const auto& ov : config.overrides) {
-    impl->static_boundaries.push_back(ov.from_sec);
-    impl->static_boundaries.push_back(ov.until_sec);
-  }
-  std::sort(impl->static_boundaries.begin(), impl->static_boundaries.end());
-  impl->static_boundaries.erase(
-      std::unique(impl->static_boundaries.begin(), impl->static_boundaries.end()),
-      impl->static_boundaries.end());
 
   const double e_min = geo::deg_to_rad(config.min_elevation_deg);
   for (const Shell& shell : impl->constellation->shells()) {
@@ -353,45 +187,32 @@ AccessIndex::~AccessIndex() = default;
 
 std::optional<VisibleSat> AccessIndex::serving(const geo::GeoPoint& user,
                                                double epoch_sec) const {
-  return impl_->serving_cached(thread_cache(impl_->id), user, epoch_sec);
-}
+  const std::vector<SatId>& cands =
+      impl_->slab_candidates(slab_key(user, epoch_sec, impl_->slab_sec));
 
-AccessSample AccessIndex::sample(const AccessNetwork& net, const geo::GeoPoint& user,
-                                 double t_sec, double epoch_sec) const {
-  ThreadCache& tc = thread_cache(impl_->id);
-  impl_->refresh_eras(tc, fault::Hook::active());
-
-  // Within one era every time-dependent input of build_sample (override
-  // windows, gateway outages) is constant, so (lat, lon, epoch, era)
-  // fully determines the sample.
-  const auto era = static_cast<std::uint32_t>(
-      std::upper_bound(tc.era_boundaries.begin(), tc.era_boundaries.end(), t_sec) -
-      tc.era_boundaries.begin());
-  const SampleKey key{bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec), era};
-  if (const auto it = tc.samples.find(key); it != tc.samples.end()) {
-    counters().hit.add(1);
-    return it->second;
+  // Exact ephemeris over the candidate superset, in canonical order with
+  // strict-improvement selection: the same operations, on a superset of
+  // the same satellites, as best_visible's exact path — so the winner
+  // (and every double in it) matches the full sweep bit-for-bit. The
+  // serving satellite depends only on (lat, lon, epoch): ground altitude
+  // is zeroed exactly as best_visible does.
+  const Constellation& c = *impl_->constellation;
+  std::optional<VisibleSat> best;
+  for (const SatId& id : cands) {
+    const geo::GeoPoint pos = c.position(id, epoch_sec);
+    const double elev = geo::elevation_deg(user, pos);
+    if (elev >= impl_->min_elevation_deg && (!best || elev > best->elevation_deg)) {
+      best = VisibleSat{
+          id, pos, elev,
+          geo::slant_range_km({user.lat_deg, user.lon_deg, 0.0}, pos)};
+    }
   }
-  counters().miss.add(1);
-
-  const AccessSample s =
-      net.build_sample(user, t_sec, impl_->serving_cached(tc, user, epoch_sec));
-  if (tc.samples.size() >= kMaxMemoEntries) {
-    counters().eviction.add(tc.samples.size());
-    tc.samples.clear();
-  }
-  tc.samples.emplace(key, s);
-  return s;
+  return best;
 }
 
 std::vector<SatId> AccessIndex::candidates_for_test(const geo::GeoPoint& user,
                                                     double epoch_sec) const {
-  ThreadCache& tc = thread_cache(impl_->id);
-  const SlabKey slab{
-      static_cast<std::int32_t>(std::floor(user.lat_deg / kCellDeg)),
-      static_cast<std::int32_t>(std::floor(user.lon_deg / kCellDeg)),
-      static_cast<std::int64_t>(std::floor(epoch_sec / impl_->slab_sec))};
-  return impl_->slab_candidates(tc, slab);
+  return impl_->slab_candidates(slab_key(user, epoch_sec, impl_->slab_sec));
 }
 
 }  // namespace satnet::orbit

@@ -1,36 +1,22 @@
-// Access-interval visibility index with epoch-keyed caching.
+// Access-interval visibility index: a candidate prefilter for the
+// serving-satellite question.
 //
-// Every campaign layer asks the same two questions over and over: "which
-// satellite serves this terminal at this reconfiguration epoch?" and
-// "what does the full access path look like at this instant?". Both
-// reduce to geometry that repeats — terminals cluster in cities, epochs
-// quantize onto a coarse grid — so the index amortizes it:
+// For each (1-degree ground cell, time slab) the index precomputes the
+// satellites whose visibility interval can intersect the slab, via the
+// same central-angle cone test as Constellation::best_visible widened by
+// the cell half-diagonal and the satellites' angular motion across the
+// slab. The candidate list is a strict superset of the visible set, kept
+// in canonical sweep order, so running the exact ephemeris over it
+// reproduces best_visible bit-for-bit at a fraction of the sweep cost.
 //
-//  * Interval layer (pure geometry): for each (1-degree ground cell,
-//    time slab) it precomputes the satellites whose visibility interval
-//    can intersect the slab, via the same central-angle cone test as
-//    Constellation::best_visible widened by the cell half-diagonal and
-//    the satellites' angular motion across the slab. The candidate list
-//    is a strict superset of the visible set, kept in canonical sweep
-//    order, so running the exact ephemeris over it reproduces
-//    best_visible bit-for-bit at a fraction of the sweep cost.
-//  * Epoch memo: full AccessSamples keyed by (terminal, epoch, era),
-//    where an era is the interval between consecutive boundaries of the
-//    time-dependent inputs (PoP overrides, fault-plan gateway outages
-//    and handoff storms). Within one era a sample is a pure function of
-//    (terminal, epoch), so the memo is value-transparent by
-//    construction. Fault events therefore partition the key space
-//    instead of flushing it: an injected outage invalidates exactly the
-//    epochs it covers (they land in a different era), never the index.
-//
-// Caches are thread-local, keyed by a process-unique index id: no locks,
-// no cross-thread coupling, TSan-clean, and — because every cached value
-// equals what the uncached computation would produce — campaign output
-// stays byte-identical at any thread count, cache on or off. The golden
-// suite pins exactly that equivalence.
+// Candidate lists are pure geometry, cached per thread and keyed by a
+// process-unique index id: no locks, no cross-thread coupling, and no
+// fault-plan dependence. The index answers only the serving question;
+// full access samples are built by AccessNetwork (or replayed from an
+// EpochTimeline), and --no-timeline ablates both accelerators at once in
+// favour of the exact sweep.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -41,18 +27,10 @@
 namespace satnet::orbit {
 
 struct AccessConfig;
-struct AccessSample;
-class AccessNetwork;
 
-/// Process-wide ablation switch (--no-access-cache). Checked per query;
-/// flipping it mid-run is safe (the caches simply stop being consulted)
-/// but is meant for whole-run A/B comparisons.
-bool access_cache_enabled();
-void set_access_cache_enabled(bool enabled);
-
-/// Per-AccessNetwork visibility index + epoch-keyed sample memo. Shared
-/// by copies of the owning network (the derived data is immutable); all
-/// queries are const and thread-safe via thread-local caches.
+/// Per-AccessNetwork visibility index. Shared by copies of the owning
+/// network (the derived data is immutable); all queries are const and
+/// thread-safe via thread-local candidate caches.
 class AccessIndex {
  public:
   AccessIndex(const AccessConfig& config,
@@ -65,11 +43,6 @@ class AccessIndex {
   /// Serving satellite at an epoch boundary. Byte-identical to
   /// constellation->best_visible(user, epoch_sec, min_elevation_deg).
   std::optional<VisibleSat> serving(const geo::GeoPoint& user, double epoch_sec) const;
-
-  /// Full access path at time t (epoch already resolved by the caller).
-  /// Byte-identical to net.build_sample(user, t_sec, serving(user, epoch)).
-  AccessSample sample(const AccessNetwork& net, const geo::GeoPoint& user, double t_sec,
-                      double epoch_sec) const;
 
   /// Candidate satellites for the (cell, slab) containing (user, epoch),
   /// in canonical sweep order — exposed for tests asserting the superset

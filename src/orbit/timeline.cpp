@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "fault/hook.hpp"
@@ -16,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "orbit/access.hpp"
-#include "orbit/access_index.hpp"
 // satlint:allow(layering): deliberate inversion — timeline construction fans out on the shared pool; DESIGN.md §14 records the debt
 #include "runtime/thread_pool.hpp"
 
@@ -71,8 +71,8 @@ TimelineCounters& counters() {
 std::atomic<bool> g_timeline_enabled{true};
 
 /// Suppresses replay hit/fallback counting while ensure() itself probes
-/// networks (its serving/sample computations route back through the
-/// access layer, which consults any previously installed snapshot).
+/// networks (its serving computations route back through the access
+/// layer, which consults any previously installed snapshot).
 thread_local bool g_in_build = false;
 
 /// Timeline layer tags for flight-recorder replay events (the `a`
@@ -129,7 +129,7 @@ double era_representative(const std::vector<double>& boundaries, std::size_t era
 }
 
 /// Era boundary list under a given hook: PoP override edges plus
-/// outage/storm window edges — the same partition AccessIndex uses.
+/// outage/storm window edges.
 std::vector<double> merged_boundaries(const std::vector<double>& static_boundaries,
                                       const fault::Hook* hook) {
   std::vector<double> out = static_boundaries;
@@ -305,7 +305,7 @@ std::uint32_t EpochTimeline::era_of(double t_sec) const {
 namespace {
 
 /// Distinct from every real hook pointer *and* nullptr, so a fresh
-/// validity cache always refreshes once (same trick as AccessIndex).
+/// validity cache always refreshes once.
 const fault::Hook* validity_sentinel() {
   static const char tag = 0;
   return reinterpret_cast<const fault::Hook*>(&tag);
@@ -371,23 +371,45 @@ std::size_t soa_lower_bound(std::size_t n, Less less_at) {
   return lo;
 }
 
+/// Row of the serving key (lat, lon, epoch) in `v`, or v.s_lat.size().
+std::size_t serving_row(const EpochTimeline::View& v, std::uint64_t lat,
+                        std::uint64_t lon, std::uint64_t epoch) {
+  const std::size_t n = v.s_lat.size();
+  const std::size_t i = soa_lower_bound(n, [&](std::size_t m) {
+    if (v.s_lat[m] != lat) return v.s_lat[m] < lat;
+    if (v.s_lon[m] != lon) return v.s_lon[m] < lon;
+    return v.s_epoch[m] < epoch;
+  });
+  const bool found =
+      i < n && v.s_lat[i] == lat && v.s_lon[i] == lon && v.s_epoch[i] == epoch;
+  return found ? i : n;
+}
+
+/// Row of the sample key (lat, lon, epoch, era) in `v`, or v.m_lat.size().
+std::size_t sample_row(const EpochTimeline::View& v, std::uint64_t lat,
+                       std::uint64_t lon, std::uint64_t epoch, std::uint32_t era) {
+  const std::size_t n = v.m_lat.size();
+  const std::size_t i = soa_lower_bound(n, [&](std::size_t m) {
+    if (v.m_lat[m] != lat) return v.m_lat[m] < lat;
+    if (v.m_lon[m] != lon) return v.m_lon[m] < lon;
+    if (v.m_epoch[m] != epoch) return v.m_epoch[m] < epoch;
+    return v.m_era[m] < era;
+  });
+  const bool found = i < n && v.m_lat[i] == lat && v.m_lon[i] == lon &&
+                     v.m_epoch[i] == epoch && v.m_era[i] == era;
+  return found ? i : n;
+}
+
 }  // namespace
 
 EpochTimeline::ServingReplay EpochTimeline::replay_serving(const geo::GeoPoint& user,
                                                            double epoch_sec,
                                                            SatId* out) const {
   if (user.alt_km != 0.0) return ServingReplay::miss;  // keys are ground-level
-  const std::uint64_t klat = bits(user.lat_deg);
-  const std::uint64_t klon = bits(user.lon_deg);
-  const std::uint64_t kepoch = bits(epoch_sec);
   const View& v = view_;
-  const std::size_t i = soa_lower_bound(v.s_lat.size(), [&](std::size_t m) {
-    if (v.s_lat[m] != klat) return v.s_lat[m] < klat;
-    if (v.s_lon[m] != klon) return v.s_lon[m] < klon;
-    return v.s_epoch[m] < kepoch;
-  });
-  if (i >= v.s_lat.size() || v.s_lat[i] != klat || v.s_lon[i] != klon ||
-      v.s_epoch[i] != kepoch) {
+  const std::size_t i =
+      serving_row(v, bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec));
+  if (i == v.s_lat.size()) {
     record_replay_fallback(kServingLayer);
     return ServingReplay::miss;
   }
@@ -406,18 +428,10 @@ bool EpochTimeline::replay_sample(const geo::GeoPoint& user, double t_sec,
     record_replay_fallback(kSampleLayer);
     return false;
   }
-  const std::uint64_t klat = bits(user.lat_deg);
-  const std::uint64_t klon = bits(user.lon_deg);
-  const std::uint64_t kepoch = bits(epoch_sec);
   const View& v = view_;
-  const std::size_t i = soa_lower_bound(v.m_lat.size(), [&](std::size_t m) {
-    if (v.m_lat[m] != klat) return v.m_lat[m] < klat;
-    if (v.m_lon[m] != klon) return v.m_lon[m] < klon;
-    if (v.m_epoch[m] != kepoch) return v.m_epoch[m] < kepoch;
-    return v.m_era[m] < era;
-  });
-  if (i >= v.m_lat.size() || v.m_lat[i] != klat || v.m_lon[i] != klon ||
-      v.m_epoch[i] != kepoch || v.m_era[i] != era) {
+  const std::size_t i =
+      sample_row(v, bits(user.lat_deg), bits(user.lon_deg), bits(epoch_sec), era);
+  if (i == v.m_lat.size()) {
     record_replay_fallback(kSampleLayer);
     return false;
   }
@@ -611,15 +625,7 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   } else {
     const View& v = existing->view_;
     for (const auto& k : skeys) {
-      const std::size_t i = soa_lower_bound(v.s_lat.size(), [&](std::size_t m) {
-        if (v.s_lat[m] != k.lat) return v.s_lat[m] < k.lat;
-        if (v.s_lon[m] != k.lon) return v.s_lon[m] < k.lon;
-        return v.s_epoch[m] < k.epoch;
-      });
-      if (i >= v.s_lat.size() || v.s_lat[i] != k.lat || v.s_lon[i] != k.lon ||
-          v.s_epoch[i] != k.epoch) {
-        missing_s.push_back(k);
-      }
+      if (serving_row(v, k.lat, k.lon, k.epoch) == v.s_lat.size()) missing_s.push_back(k);
     }
   }
   std::vector<SampleKey> missing_m;
@@ -628,24 +634,16 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   } else {
     const View& v = existing->view_;
     for (const auto& k : mkeys) {
-      const std::size_t i = soa_lower_bound(v.m_lat.size(), [&](std::size_t m) {
-        if (v.m_lat[m] != k.lat) return v.m_lat[m] < k.lat;
-        if (v.m_lon[m] != k.lon) return v.m_lon[m] < k.lon;
-        if (v.m_epoch[m] != k.epoch) return v.m_epoch[m] < k.epoch;
-        return v.m_era[m] < k.era;
-      });
-      if (i >= v.m_lat.size() || v.m_lat[i] != k.lat || v.m_lon[i] != k.lon ||
-          v.m_epoch[i] != k.epoch || v.m_era[i] != k.era) {
+      if (sample_row(v, k.lat, k.lon, k.epoch, k.era) == v.m_lat.size()) {
         missing_m.push_back(k);
       }
     }
   }
   if (missing_s.empty() && missing_m.empty() && sample_reuse) return;  // warm
 
-  // Build the missing values, each into its own slot. Serving decisions
-  // route through the network (index caches apply); samples are the
-  // exact on-demand computation at the stored representative instant —
-  // within one (epoch, era) cell any instant yields identical bytes.
+  // Build the missing serving decisions, each into its own slot, through
+  // the network's serving path (the index answers what the installed
+  // snapshot does not cover).
   std::vector<std::uint32_t> built_s(missing_s.size(), kNoSat);
   for_each_slot(missing_s.size(), threads, [&](std::size_t i) {
     const ServingKey& k = missing_s[i];
@@ -653,13 +651,6 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
     if (const auto sat = net.serving_sat_at_epoch(user, from_bits(k.epoch))) {
       built_s[i] = pack_sat(sat->id);
     }
-  });
-  std::vector<AccessSample> built_m(missing_m.size());
-  for_each_slot(missing_m.size(), threads, [&](std::size_t i) {
-    const SampleKey& k = missing_m[i];
-    const geo::GeoPoint user{from_bits(k.lat), from_bits(k.lon), 0.0};
-    const double t = from_bits(k.t);
-    built_m[i] = net.build_sample(user, t, net.serving_sat_at_epoch(user, from_bits(k.epoch)));
   });
 
   // Deterministic merge: existing entries and fresh slots interleave in
@@ -704,6 +695,27 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
       }
     }
   }
+
+  // Samples are the exact on-demand computation at the stored
+  // representative instant — within one (epoch, era) cell any instant
+  // yields identical bytes. Every sample key's epoch is also a serving
+  // key, so the satellite comes from the serving layer just merged and
+  // its VisibleSat is rebuilt exactly as replay does, instead of asking
+  // the serving path a second time.
+  View served;
+  served.s_lat = arrays.s_lat;
+  served.s_lon = arrays.s_lon;
+  served.s_epoch = arrays.s_epoch;
+  std::vector<AccessSample> built_m(missing_m.size());
+  for_each_slot(missing_m.size(), threads, [&](std::size_t i) {
+    const SampleKey& k = missing_m[i];
+    const geo::GeoPoint user{from_bits(k.lat), from_bits(k.lon), 0.0};
+    const double epoch = from_bits(k.epoch);
+    const std::uint32_t packed = arrays.s_sat[serving_row(served, k.lat, k.lon, k.epoch)];
+    std::optional<VisibleSat> sat;
+    if (packed != kNoSat) sat = net.visible_at_epoch(user, unpack_sat(packed), epoch);
+    built_m[i] = net.build_sample(user, from_bits(k.t), sat);
+  });
 
   const std::size_t old_m = sample_reuse ? existing->sample_size() : 0;
   const std::size_t total_m = old_m + missing_m.size();

@@ -1,26 +1,26 @@
 // Campaign-scoped epoch timeline: precompute constellation access state
 // once, replay it everywhere as pure lookups.
 //
-// PR 5's access-interval index made each geometry query cheap; the
-// timeline removes the query from the campaign hot path entirely. Every
-// campaign layer's access schedule is a pure function of its config —
-// mlab's test draws and ripe's probe rounds come from fork_stable
-// streams, so a pre-pass can replay the exact draws the shards will make
-// and hand the full set of (terminal, time) queries to
-// EpochTimeline::ensure(). ensure() materializes every serving decision
-// and access sample once, in parallel on runtime::ThreadPool with a
+// Every campaign layer's access schedule is a pure function of its
+// config — mlab's test draws and ripe's probe rounds come from
+// fork_stable streams, so a pre-pass can replay the exact draws the
+// shards will make and hand the full set of (terminal, time) queries to
+// EpochTimeline::ensure(). ensure() decides every serving satellite once
+// (through the access-interval index), then builds every access sample
+// from that serving layer, in parallel on runtime::ThreadPool with a
 // deterministic slot-per-key merge, into sorted SoA arrays; after that
 // AccessNetwork::sample() and serving_sat_at_epoch() are binary-search
-// replays. Anything not covered falls back to the PR 5 index (and
-// ultimately the exact cone-prefilter sweep), so the timeline is
-// value-transparent by construction: campaign output is byte-identical
-// with the timeline on, off (--no-timeline), or loaded from disk — the
-// golden suite pins exactly that equivalence.
+// replays. Anything not covered falls back to the index plus an exact
+// sample build, so the timeline is value-transparent by construction:
+// campaign output is byte-identical with the timeline on, loaded from
+// disk, or off (--no-timeline, the exact reference path: no timeline and
+// no index, Constellation::best_visible for every serving decision) —
+// the golden suite pins exactly that equivalence.
 //
-// Fault-plan coherence reuses PR 5's era partitioning instead of
-// flushing: the snapshot stores the era boundaries it was built under
-// (PoP override edges plus fault-plan outage/storm edges) and, per era,
-// a hash of the fault events active inside it. Installing or removing a
+// Fault-plan coherence partitions time into eras instead of flushing:
+// the snapshot stores the era boundaries it was built under (PoP
+// override edges plus fault-plan outage/storm edges) and, per era, a
+// hash of the fault events active inside it. Installing or removing a
 // plan invalidates exactly the eras whose boundary structure or active
 // set changed — those lookups fall back and are counted — while the
 // serving layer (pure geometry, fault-independent) and every untouched
@@ -43,9 +43,11 @@ struct AccessConfig;
 struct AccessSample;
 class AccessNetwork;
 
-/// Process-wide ablation switch (--no-timeline). Checked per query;
-/// flipping it mid-run is safe (installed timelines simply stop being
-/// consulted) but is meant for whole-run A/B comparisons.
+/// Process-wide ablation switch (--no-timeline) and the only one on the
+/// access path: disabled selects the exact reference path (no timeline,
+/// no index). Checked per query; flipping it mid-run is safe (installed
+/// timelines simply stop being consulted) but is meant for whole-run A/B
+/// comparisons.
 bool timeline_enabled();
 void set_timeline_enabled(bool enabled);
 

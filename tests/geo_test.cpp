@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "geo/geodesy.hpp"
 #include "geo/places.hpp"
@@ -176,23 +177,34 @@ TEST(PlacesTest, AnchorageSeattleDistanceMatchesPaperScenario) {
   EXPECT_NEAR(d, 2290, 150);  // great-circle; the paper quotes road-ish distance
 }
 
-class ContinentParam
-    : public ::testing::TestWithParam<std::pair<const char*, Continent>> {};
+struct ContinentCase {
+  const char* code;
+  Continent continent;
+};
+
+// Print the case by value: gtest's default printer shows a string
+// literal's address, which ASLR moves on every test listing and so
+// would make the discovered test names differ from run to run.
+void PrintTo(const ContinentCase& c, std::ostream* os) {
+  *os << c.code << "->" << to_string(c.continent);
+}
+
+class ContinentParam : public ::testing::TestWithParam<ContinentCase> {};
 
 TEST_P(ContinentParam, MapsCorrectly) {
-  EXPECT_EQ(continent_of(GetParam().first), GetParam().second);
+  EXPECT_EQ(continent_of(GetParam().code), GetParam().continent);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Countries, ContinentParam,
-    ::testing::Values(std::pair{"GB", Continent::europe},
-                      std::pair{"FR", Continent::europe},
-                      std::pair{"AU", Continent::oceania},
-                      std::pair{"FJ", Continent::oceania},
-                      std::pair{"JP", Continent::asia},
-                      std::pair{"BR", Continent::south_america},
-                      std::pair{"CA", Continent::north_america},
-                      std::pair{"NG", Continent::africa}));
+    ::testing::Values(ContinentCase{"GB", Continent::europe},
+                      ContinentCase{"FR", Continent::europe},
+                      ContinentCase{"AU", Continent::oceania},
+                      ContinentCase{"FJ", Continent::oceania},
+                      ContinentCase{"JP", Continent::asia},
+                      ContinentCase{"BR", Continent::south_america},
+                      ContinentCase{"CA", Continent::north_america},
+                      ContinentCase{"NG", Continent::africa}));
 
 }  // namespace
 }  // namespace satnet::geo

@@ -10,18 +10,15 @@
 // then review the diff of tests/golden/ like any other code change.
 // SATNET_UPDATE_GOLDEN=1 in the environment does the same.
 //
-// Ablation: --no-access-cache runs the whole suite with the
-// access-interval index disabled (every orbital sample falls back to the
-// full cone-prefilter sweep). The snapshots must still match byte-for-
-// byte — that run is the equivalence oracle for the cache
-// (scripts/verify.sh --golden exercises it).
-//
-// The epoch timeline gets the same treatment: --no-timeline disables
-// replay entirely, --timeline-in FILE warm-starts the suite from a
-// persisted snapshot, --timeline-out FILE saves the snapshots built by
-// this run. All three must leave every snapshot byte-identical — the
-// verify.sh golden gate runs cold, warm-from-file, and no-timeline
-// rounds against the same tests/golden/ corpus.
+// Ablation: --no-timeline runs the whole suite on the exact access path
+// (no epoch timeline, no access-interval index: every orbital sample runs
+// the full cone-prefilter sweep). The snapshots must still match byte-
+// for-byte — that run is the equivalence oracle for both accelerators.
+// --timeline-in FILE warm-starts the suite from a persisted snapshot and
+// --timeline-out FILE saves the snapshots built by this run; both must
+// leave every snapshot byte-identical too — the verify.sh golden gate
+// runs cold, warm-from-file, and no-timeline rounds against the same
+// tests/golden/ corpus.
 //
 // --recorder-out FILE runs the whole suite with the flight recorder
 // enabled and drains the event stream to FILE afterwards; the snapshots
@@ -40,7 +37,6 @@
 #include "io/golden.hpp"
 #include "io/timeline_io.hpp"
 #include "obs/export.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 #include "synth/world.hpp"
 
@@ -134,46 +130,27 @@ TEST(Golden, AblationWeather) {
   expect_golden("bench_ablation_weather.txt", io::ablation_weather_report());
 }
 
-// Same contract for the epoch timeline: snapshots built without a plan
-// must never leak stale samples into a fault-plan run — the era keys
-// travel with the snapshot, so affected lookups fall back per era while
-// everything else keeps replaying. Compares the identify_snos
-// walkthrough timeline-on vs timeline-off under the shipped example
-// plan at every snapshot thread count.
+// The accelerated access path must stay invisible in report text even
+// while a fault plan rewrites gateway availability and reconfig cadence
+// mid-campaign: snapshots built without a plan must never leak stale
+// samples into a fault-plan run — the era keys travel with the snapshot,
+// so affected lookups fall back per era (to the access-interval index)
+// while everything else keeps replaying. Compares the identify_snos
+// walkthrough accelerated vs exact (--no-timeline) under the shipped
+// example plan at every snapshot thread count.
 TEST(Golden, TimelineAblationUnderFaultPlan) {
   const bool timeline_was_enabled = orbit::timeline_enabled();
   fault::ScopedHook scoped(fault::FaultPlan::load_file(FAULTPLAN_PATH));
   for (const unsigned threads : {1u, 2u, 8u}) {
     orbit::set_timeline_enabled(true);
-    const std::string replayed = io::identify_snos_report(threads);
+    const std::string accelerated = io::identify_snos_report(threads);
     orbit::set_timeline_enabled(false);
-    const std::string on_demand = io::identify_snos_report(threads);
-    EXPECT_EQ(replayed, on_demand)
-        << "identify_snos diverges timeline-on vs timeline-off at " << threads
+    const std::string exact = io::identify_snos_report(threads);
+    EXPECT_EQ(accelerated, exact)
+        << "identify_snos diverges accelerated vs exact path at " << threads
         << " threads under " << FAULTPLAN_PATH;
   }
   orbit::set_timeline_enabled(timeline_was_enabled);
-}
-
-// The access index must stay invisible in report text even while a
-// fault plan rewrites gateway availability and reconfig cadence
-// mid-campaign: outage/storm windows partition the memo key space into
-// eras instead of corrupting (or flushing) cached samples. Compares the
-// identify_snos walkthrough cache-on vs cache-off under the shipped
-// example plan at every snapshot thread count.
-TEST(Golden, AccessCacheAblationUnderFaultPlan) {
-  const bool cache_was_enabled = orbit::access_cache_enabled();
-  fault::ScopedHook scoped(fault::FaultPlan::load_file(FAULTPLAN_PATH));
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    orbit::set_access_cache_enabled(true);
-    const std::string cached = io::identify_snos_report(threads);
-    orbit::set_access_cache_enabled(false);
-    const std::string uncached = io::identify_snos_report(threads);
-    EXPECT_EQ(cached, uncached)
-        << "identify_snos diverges cache-on vs cache-off at " << threads
-        << " threads under " << FAULTPLAN_PATH;
-  }
-  orbit::set_access_cache_enabled(cache_was_enabled);
 }
 
 }  // namespace
@@ -195,7 +172,6 @@ int main(int argc, char** argv) {
             recorder_out + ".postmortem");
       }
     }
-    if (arg == "--no-access-cache") satnet::orbit::set_access_cache_enabled(false);
     if (arg == "--no-timeline") satnet::orbit::set_timeline_enabled(false);
     if (arg == "--timeline-in" && i + 1 < argc) {
       satnet::io::TimelineFileInfo info;

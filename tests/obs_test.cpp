@@ -221,6 +221,23 @@ TEST(ExportTest, PrometheusEscapesHostileStrings) {
   EXPECT_DOUBLE_EQ(parsed.metrics[0].value, 11.0);
 }
 
+TEST(ExportTest, PrometheusTruncatedNameAndHelpLinesParse) {
+  // A NAME or HELP comment cut off right after the wire name used to
+  // throw std::out_of_range from substr. It now carries no text: the
+  // metric keeps its wire name and an empty help string.
+  const std::string text =
+      "# NAME satnet_x\n"
+      "# TYPE satnet_x counter\n"
+      "# HELP satnet_x\n"
+      "satnet_x 4\n";
+  Snapshot parsed;
+  ASSERT_NO_THROW(parsed = parse_prometheus(text));
+  ASSERT_EQ(parsed.metrics.size(), 1u);
+  EXPECT_EQ(parsed.metrics[0].name, "satnet_x");
+  EXPECT_EQ(parsed.metrics[0].help, "");
+  EXPECT_DOUBLE_EQ(parsed.metrics[0].value, 4.0);
+}
+
 TEST(ExportTest, PrometheusBucketLabelsAreEscaped) {
   // le= values come from fmt_double today, but the exposition escaping
   // must hold for any payload prom_escape_label is handed.

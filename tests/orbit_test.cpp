@@ -13,6 +13,7 @@
 #include "orbit/access_index.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/shell.hpp"
+#include "orbit/timeline.hpp"
 
 namespace satnet::orbit {
 namespace {
@@ -20,6 +21,15 @@ namespace {
 std::shared_ptr<const Constellation> starlink() {
   static const auto c =
       std::make_shared<const Constellation>(starlink_shells());
+  return c;
+}
+
+/// Starlink's first shell on the SGP4 backend: the access index gates it
+/// with the propagator's conservative altitude/rate bounds instead of
+/// per-shell Walker geometry.
+std::shared_ptr<const Constellation> starlink_sgp4() {
+  static const auto c = std::make_shared<const Constellation>(
+      std::vector{starlink_shell1()}, OrbitModel::sgp4);
   return c;
 }
 
@@ -416,48 +426,56 @@ bool same_sample(const AccessSample& a, const AccessSample& b) {
          a.gateway_index == b.gateway_index && a.handoff == b.handoff;
 }
 
-/// RAII toggle so a test cannot leak a disabled cache into later tests.
-struct ScopedCacheDisabled {
-  ScopedCacheDisabled() { set_access_cache_enabled(false); }
-  ~ScopedCacheDisabled() { set_access_cache_enabled(true); }
+/// RAII toggle onto the exact access path (no timeline, no index) so a
+/// test cannot leak the ablation into later tests.
+struct ScopedExactPath {
+  ScopedExactPath() { set_timeline_enabled(false); }
+  ~ScopedExactPath() { set_timeline_enabled(true); }
 };
 
 TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
-  const auto c = starlink();
-  const auto net = make_starlink_access(c);
-  ASSERT_NE(net.access_index(), nullptr);
-  for (const double lat : {47.3, -36.9, 61.2}) {
-    for (double t = 0; t < 600.0; t += 45.0) {
-      const geo::GeoPoint user{lat, -122.3, 0};
-      const auto cands = net.access_index()->candidates_for_test(user, t);
-      const auto visible = c->visible(user, t, net.config().min_elevation_deg);
-      for (const auto& v : visible) {
-        EXPECT_TRUE(std::find(cands.begin(), cands.end(), v.id) != cands.end())
-            << "lat=" << lat << " t=" << t;
+  for (const auto& c : {starlink(), starlink_sgp4()}) {
+    const auto net = make_starlink_access(c);
+    ASSERT_NE(net.access_index(), nullptr);
+    for (const double lat : {47.3, -36.9, 61.2}) {
+      for (double t = 0; t < 600.0; t += 45.0) {
+        const geo::GeoPoint user{lat, -122.3, 0};
+        const auto cands = net.access_index()->candidates_for_test(user, t);
+        const auto visible = c->visible(user, t, net.config().min_elevation_deg);
+        for (const auto& v : visible) {
+          EXPECT_TRUE(std::find(cands.begin(), cands.end(), v.id) != cands.end())
+              << to_string(c->model()) << " lat=" << lat << " t=" << t;
+        }
+        // The gate is tight enough to be useful, not a degenerate "all".
+        EXPECT_LT(cands.size(), c->total_sats() / 10) << to_string(c->model());
       }
-      // The gate is tight enough to be useful, not a degenerate "all".
-      EXPECT_LT(cands.size(), c->total_sats() / 10);
     }
   }
 }
 
 TEST(AccessIndexTest, ServingMatchesFullSweepBitForBit) {
-  const auto c = starlink();
-  const auto net = make_starlink_access(c);
-  const double min_elev = net.config().min_elevation_deg;
-  for (const double lat : {47.61, 21.3, -33.87}) {
-    for (const double lon : {-122.33, -157.85, 151.2}) {
-      for (double epoch = 0; epoch < 900.0; epoch += 15.0) {
-        const geo::GeoPoint user{lat, lon, 0};
-        const auto via_index = net.access_index()->serving(user, epoch);
-        const auto via_sweep = c->best_visible(user, epoch, min_elev);
-        ASSERT_EQ(via_index.has_value(), via_sweep.has_value());
-        if (!via_index) continue;
-        EXPECT_TRUE(via_index->id == via_sweep->id);
-        EXPECT_TRUE(same_bits(via_index->elevation_deg, via_sweep->elevation_deg));
-        EXPECT_TRUE(same_bits(via_index->slant_km, via_sweep->slant_km));
-        EXPECT_TRUE(same_bits(via_index->position.lat_deg, via_sweep->position.lat_deg));
-        EXPECT_TRUE(same_bits(via_index->position.lon_deg, via_sweep->position.lon_deg));
+  for (const auto& c : {starlink(), starlink_sgp4()}) {
+    const auto net = make_starlink_access(c);
+    const double min_elev = net.config().min_elevation_deg;
+    for (const double lat : {47.61, 21.3, -33.87}) {
+      for (const double lon : {-122.33, -157.85, 151.2}) {
+        for (double epoch = 0; epoch < 900.0; epoch += 15.0) {
+          const geo::GeoPoint user{lat, lon, 0};
+          SCOPED_TRACE(std::string(to_string(c->model())) + " lat=" +
+                       std::to_string(lat) + " lon=" + std::to_string(lon) +
+                       " epoch=" + std::to_string(epoch));
+          const auto via_index = net.access_index()->serving(user, epoch);
+          const auto via_sweep = c->best_visible(user, epoch, min_elev);
+          ASSERT_EQ(via_index.has_value(), via_sweep.has_value());
+          if (!via_index) continue;
+          EXPECT_TRUE(via_index->id == via_sweep->id);
+          EXPECT_TRUE(same_bits(via_index->elevation_deg, via_sweep->elevation_deg));
+          EXPECT_TRUE(same_bits(via_index->slant_km, via_sweep->slant_km));
+          EXPECT_TRUE(
+              same_bits(via_index->position.lat_deg, via_sweep->position.lat_deg));
+          EXPECT_TRUE(
+              same_bits(via_index->position.lon_deg, via_sweep->position.lon_deg));
+        }
       }
     }
   }
@@ -467,13 +485,13 @@ TEST(AccessIndexTest, SamplesByteIdenticalCacheOnAndOff) {
   const auto net = make_starlink_access(starlink());
   const geo::GeoPoint user{47.61, -122.33, 0};
   for (double t = 0; t < 1800.0; t += 7.5) {
-    const AccessSample cached = net.sample_with_handoff(user, t);
-    AccessSample uncached;
+    const AccessSample accelerated = net.sample_with_handoff(user, t);
+    AccessSample exact_sample;
     {
-      ScopedCacheDisabled off;
-      uncached = net.sample_with_handoff(user, t);
+      ScopedExactPath exact;
+      exact_sample = net.sample_with_handoff(user, t);
     }
-    EXPECT_TRUE(same_sample(cached, uncached)) << "t=" << t;
+    EXPECT_TRUE(same_sample(accelerated, exact_sample)) << "t=" << t;
   }
 }
 
@@ -489,17 +507,17 @@ TEST(AccessIndexTest, FaultWindowsPartitionErasWithoutFlushingIndex) {
   fault::ScopedHook hook(fault::FaultPlan{{outage}});
 
   // t = 995 and t = 1002 share the same reconfiguration epoch (990) and
-  // the same serving satellite, but straddle the outage edge. The era
-  // component of the memo key splits them, so warming the memo before
-  // the outage cannot replay a dead gateway into the window.
+  // the same serving satellite, but straddle the outage edge, so the
+  // accelerated path must not carry the pre-outage gateway into the
+  // window.
   const AccessSample before = net.sample(user, 995.0);
   const AccessSample inside = net.sample(user, 1002.0);
   ASSERT_TRUE(before.reachable);
   ASSERT_TRUE(inside.reachable);
   EXPECT_TRUE(*before.serving_sat == *inside.serving_sat);
   EXPECT_NE(before.gateway_index, inside.gateway_index);
-  // And both eras must agree with the uncached computation exactly.
-  ScopedCacheDisabled off;
+  // And both sides of the edge must agree with the exact path exactly.
+  ScopedExactPath exact;
   EXPECT_TRUE(same_sample(before, net.sample(user, 995.0)));
   EXPECT_TRUE(same_sample(inside, net.sample(user, 1002.0)));
 }
