@@ -26,6 +26,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "io/timeline_io.hpp"
 #include "orbit/access.hpp"
 
 namespace {

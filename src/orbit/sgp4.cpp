@@ -1,5 +1,6 @@
 #include "orbit/sgp4.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +125,19 @@ bool parse_exp_field(const std::string& field, double& out) {
   return true;
 }
 
+bool all_digits(const std::string& s) {
+  return std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/// True when emit_line2's %11.8f reproduces the field exactly: a plain
+/// decimal below 100 with at most 8 fraction digits.
+bool fits_mean_motion(const std::string& field, double value) {
+  const std::size_t dot = field.find('.');
+  const std::string whole = field.substr(0, dot);
+  const std::string frac = dot == std::string::npos ? "" : field.substr(dot + 1);
+  return value < 100.0 && all_digits(whole) && all_digits(frac) && frac.size() <= 8;
+}
+
 std::string pad_to(std::string s, std::size_t n) {
   if (s.size() < n) s.append(n - s.size(), ' ');
   return s;
@@ -164,13 +178,20 @@ bool parse_into(Tle& t, const std::string& raw1, const std::string& raw2,
 
   if (!parse_double(cols(l2, 9, 16), t.inclo_deg)) return fail(error, "bad inclination");
   if (!parse_double(cols(l2, 18, 25), t.nodeo_deg)) return fail(error, "bad RAAN");
-  double eccdigits = 0.0;
-  if (!parse_double(cols(l2, 27, 33), eccdigits)) return fail(error, "bad eccentricity");
-  t.ecco = eccdigits * 1e-7;
+  // Exactly the seven digits emit_line2 writes back (implied "0."); the
+  // padded line always has all seven columns.
+  const std::string ecc = cols(l2, 27, 33);
+  if (!all_digits(ecc)) return fail(error, "bad eccentricity: expected 7 digits");
+  t.ecco = std::strtod(ecc.c_str(), nullptr) * 1e-7;
   if (!parse_double(cols(l2, 35, 42), t.argpo_deg)) return fail(error, "bad arg of perigee");
   if (!parse_double(cols(l2, 44, 51), t.mo_deg)) return fail(error, "bad mean anomaly");
   if (!parse_double(cols(l2, 53, 63), t.no_revs_per_day)) return fail(error, "bad mean motion");
   if (t.no_revs_per_day <= 0.0) return fail(error, "non-positive mean motion");
+  if (!fits_mean_motion(trimmed(cols(l2, 53, 63)), t.no_revs_per_day)) {
+    return fail(error,
+                "mean motion does not fit the 11-column field "
+                "(below 100 rev/day, at most 8 decimals)");
+  }
   if (!parse_int(cols(l2, 64, 68), t.revnum)) return fail(error, "bad rev number");
   return true;
 }

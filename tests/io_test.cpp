@@ -4,10 +4,12 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "io/csv.hpp"
 #include "io/report.hpp"
+#include "io/run_options.hpp"
 #include "io/timeline_io.hpp"
 #include "mlab/campaign.hpp"
 #include "orbit/access.hpp"
@@ -293,6 +295,177 @@ TEST_F(TimelineIoTest, MissingFileIsOneDiagnostic) {
   const std::string diag = load_timelines("/nonexistent/dir/timeline.tl");
   EXPECT_FALSE(diag.empty());
   EXPECT_TRUE(orbit::EpochTimeline::installed().empty());
+}
+
+
+// ------------------------------------------------------------ RunOptions
+
+/// A mutable, null-terminated argv the parser can strip in place.
+struct Argv {
+  Argv(std::initializer_list<const char*> args) : store(args.begin(), args.end()) {
+    for (auto& a : store) ptrs.push_back(a.data());
+    ptrs.push_back(nullptr);
+    argc = static_cast<int>(store.size());
+  }
+  char** argv() { return ptrs.data(); }
+  /// What the parser left after argv[0].
+  std::vector<std::string> rest() const {
+    return {ptrs.begin() + 1, ptrs.begin() + argc};
+  }
+  std::vector<std::string> store;
+  std::vector<char*> ptrs;
+  int argc = 0;
+};
+
+std::string parse(Argv& a, RunOptions* out) {
+  return parse_run_options(&a.argc, a.argv(), out);
+}
+
+void expect_every_flag_set(const RunOptions& o) {
+  EXPECT_EQ(o.threads, 3u);
+  EXPECT_EQ(o.fault_plan, "plan.txt");
+  EXPECT_TRUE(o.no_timeline);
+  EXPECT_EQ(o.timeline_in, "in.tl");
+  EXPECT_EQ(o.timeline_out, "out.tl");
+  EXPECT_EQ(o.metrics_out, "-");
+  EXPECT_EQ(o.trace_out, "t.jsonl");
+  EXPECT_EQ(o.recorder_out, "r.jsonl");
+  ASSERT_TRUE(o.recorder_ring.has_value());
+  EXPECT_EQ(*o.recorder_ring, 64u);
+  EXPECT_EQ(o.watchdog_ms, 250u);
+  EXPECT_DOUBLE_EQ(o.watchdog_threshold_ms, 5000.5);
+}
+
+TEST(RunOptionsTest, BothSpellingsOfEverySharedFlag) {
+  Argv spaced{"prog",           "--threads",     "3",
+              "--fault-plan",   "plan.txt",      "--no-timeline",
+              "--timeline-in",  "in.tl",         "--timeline-out",
+              "out.tl",         "--metrics-out", "-",
+              "--trace-out",    "t.jsonl",       "--recorder-out",
+              "r.jsonl",        "--recorder-ring", "64",
+              "--watchdog-ms",  "250",           "--watchdog-threshold-ms",
+              "5000.5"};
+  Argv joined{"prog", "--threads=3", "--fault-plan=plan.txt", "--no-timeline",
+              "--timeline-in=in.tl", "--timeline-out=out.tl", "--metrics-out=-",
+              "--trace-out=t.jsonl", "--recorder-out=r.jsonl", "--recorder-ring=64",
+              "--watchdog-ms=250", "--watchdog-threshold-ms=5000.5"};
+  for (Argv* a : {&spaced, &joined}) {
+    RunOptions o;
+    ASSERT_EQ(parse(*a, &o), "");
+    expect_every_flag_set(o);
+    EXPECT_EQ(a->argc, 1);
+    EXPECT_EQ(a->argv()[1], nullptr);
+  }
+}
+
+TEST(RunOptionsTest, DefaultsWhenAbsent) {
+  Argv a{"prog", "census"};
+  RunOptions o;
+  ASSERT_EQ(parse(a, &o), "");
+  EXPECT_EQ(o.threads, 0u);
+  EXPECT_FALSE(o.no_timeline);
+  EXPECT_TRUE(o.timeline_in.empty());
+  EXPECT_FALSE(o.recorder_ring.has_value());
+  EXPECT_EQ(o.watchdog_ms, 0u);
+  EXPECT_EQ(a.rest(), std::vector<std::string>{"census"});
+}
+
+TEST(RunOptionsTest, LastOccurrenceWins) {
+  Argv a{"prog", "--threads", "2", "--metrics-out=a.prom", "--threads=5",
+         "--metrics-out", "b.prom", "--no-timeline", "--no-timeline"};
+  RunOptions o;
+  ASSERT_EQ(parse(a, &o), "");
+  EXPECT_EQ(o.threads, 5u);
+  EXPECT_EQ(o.metrics_out, "b.prom");
+  EXPECT_TRUE(o.no_timeline);
+  EXPECT_EQ(a.argc, 1);
+}
+
+/// One line that names the flag.
+void expect_diagnostic(const std::string& diag, const std::string& flag) {
+  EXPECT_NE(diag.find(flag), std::string::npos) << diag;
+  EXPECT_EQ(diag.find('\n'), std::string::npos) << diag;
+}
+
+TEST(RunOptionsTest, MissingTrailingValueIsADiagnostic) {
+  for (const char* flag :
+       {"--threads", "--fault-plan", "--timeline-in", "--timeline-out", "--metrics-out",
+        "--trace-out", "--recorder-out", "--recorder-ring", "--watchdog-ms",
+        "--watchdog-threshold-ms"}) {
+    Argv a{"prog", "census", flag};
+    RunOptions o;
+    expect_diagnostic(parse(a, &o), flag);
+  }
+  Argv empty{"prog", "--timeline-in="};
+  RunOptions o;
+  expect_diagnostic(parse(empty, &o), "--timeline-in");
+}
+
+TEST(RunOptionsTest, MalformedNumbersAreDiagnostics) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--threads", "x"},          {"--threads", "-2"},
+      {"--threads", "4x"},         {"--threads", "99999999999999999999"},
+      {"--recorder-ring", "abc"},  {"--watchdog-ms", "-1"},
+      {"--watchdog-threshold-ms", "nan"}, {"--watchdog-threshold-ms", "-5"},
+      {"--watchdog-threshold-ms", "inf"}};
+  for (const auto& [flag, value] : cases) {
+    Argv a{"prog", flag, value};
+    RunOptions o;
+    const std::string diag = parse(a, &o);
+    expect_diagnostic(diag, flag);
+    EXPECT_NE(diag.find(value), std::string::npos) << diag;
+  }
+}
+
+TEST(RunOptionsTest, UnknownArgumentsStayInOrder) {
+  Argv a{"prog", "report", "--benchmark_filter=NONE", "--threads", "2", "--out", "r.md",
+         "--gtest_brief=1", "--recorder-out=-", "--degrade", "--threadsx", "9"};
+  RunOptions o;
+  ASSERT_EQ(parse(a, &o), "");
+  EXPECT_EQ(o.threads, 2u);
+  EXPECT_EQ(o.recorder_out, "-");
+  const std::vector<std::string> want = {
+      "report",          "--benchmark_filter=NONE", "--out",      "r.md",
+      "--gtest_brief=1", "--degrade",               "--threadsx", "9"};
+  EXPECT_EQ(a.rest(), want);
+  EXPECT_EQ(a.argv()[a.argc], nullptr);
+}
+
+TEST(RunOptionsTest, FirstErrorWinsAndParsingReturns) {
+  // Several bad values in one argv: one diagnostic, for the first flag
+  // in table order, and control comes back to the caller.
+  Argv a{"prog", "--watchdog-ms", "x", "--threads", "y"};
+  RunOptions o;
+  const std::string diag = parse(a, &o);
+  expect_diagnostic(diag, "--threads");
+  EXPECT_EQ(diag.find("--watchdog-ms"), std::string::npos) << diag;
+}
+
+TEST(RunOptionsTest, HelpListsEverySharedFlag) {
+  const std::string help = run_options_help();
+  for (const char* flag :
+       {"--threads", "--fault-plan", "--no-timeline", "--timeline-in", "--timeline-out",
+        "--metrics-out", "--trace-out", "--recorder-out", "--recorder-ring",
+        "--watchdog-ms", "--watchdog-threshold-ms"}) {
+    EXPECT_NE(help.find(std::string("  ") + flag + " "), std::string::npos) << flag;
+  }
+}
+
+TEST(ArgScannerTest, TypedHelpersNeverThrow) {
+  Argv a{"prog", "report", "--scale", "abc", "--retries=0", "--seed", "7", "--check"};
+  ArgScanner args(&a.argc, a.argv());
+  double scale = 0.5;
+  EXPECT_FALSE(args.real("--scale", &scale));
+  EXPECT_DOUBLE_EQ(scale, 0.5);  // untouched on error
+  std::size_t retries = 1;
+  EXPECT_FALSE(args.whole("--retries", &retries, std::size_t{1}));
+  unsigned long long seed = 0;
+  EXPECT_TRUE(args.whole("--seed", &seed));
+  EXPECT_EQ(seed, 7u);
+  EXPECT_TRUE(args.flag("--check"));
+  EXPECT_FALSE(args.flag("--degrade"));
+  expect_diagnostic(args.error(), "--scale");
+  EXPECT_EQ(a.rest(), std::vector<std::string>{"report"});
 }
 
 }  // namespace

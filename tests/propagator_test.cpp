@@ -111,6 +111,36 @@ TEST(TleTest, ParseEmitParseRoundTrips) {
   }
 }
 
+/// kStr3NearL2 with 1-indexed columns [from, from + field.size()) replaced
+/// and the checksum recomputed.
+std::string near_l2_with(int from, const std::string& field) {
+  std::string l = kStr3NearL2.substr(0, 68);
+  l.replace(static_cast<std::size_t>(from - 1), field.size(), field);
+  return ck(l);
+}
+
+// Fields emit_line2 (%07ld, %11.8f) cannot write back are rejected at
+// parse with one diagnostic instead of round-tripping to other values.
+TEST(TleTest, RejectsEccentricityThatIsNotSevenDigits) {
+  for (const std::string ecc : {"12.5   ", "-000001"}) {
+    std::string err;
+    EXPECT_FALSE(Tle::parse(kStr3NearL1, near_l2_with(27, ecc), "", &err).has_value())
+        << ecc;
+    EXPECT_NE(err.find("eccentricity"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+}
+
+TEST(TleTest, RejectsMeanMotionThatDoesNotFitTheField) {
+  for (const std::string mm : {"1.605824518", "123.4567891"}) {
+    std::string err;
+    EXPECT_FALSE(Tle::parse(kStr3NearL1, near_l2_with(53, mm), "", &err).has_value())
+        << mm;
+    EXPECT_NE(err.find("mean motion"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+}
+
 TEST(TleTest, CatalogParsesGroupsAndComments) {
   const std::string text = "# catalog comment\nSTR3 TEST\n" + kStr3NearL1 + "\n" +
                            kStr3NearL2 + "\n\n" + kStr3DeepL1 + "\n" + kStr3DeepL2 +

@@ -823,6 +823,7 @@ int main(int argc, char** argv) {
     args.push_back(argv[i]);
   }
   int n = static_cast<int>(args.size());
+  args.push_back(nullptr);  // argv[argc] == nullptr: gtest's flag removal reads it
   ::testing::InitGoogleTest(&n, args.data());
   return RUN_ALL_TESTS();
 }

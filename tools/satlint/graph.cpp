@@ -89,10 +89,13 @@ const std::map<std::string, std::vector<std::string>> kAllowedDeps = {
     // io is the presentation/persistence top: it renders campaign
     // results into artifacts, so it sees the campaign layers — and
     // nothing may include io back (enforced by io's absence from every
-    // other allow list).
+    // other allow list). Its run session (io/run_options) also installs
+    // the fault plan and configures the pool watchdog for every entry
+    // point, hence fault and runtime.
     {"src:io",
-     {"src:stats", "src:obs", "src:orbit", "src:transport", "src:weather",
-      "src:synth", "src:mlab", "src:ripe", "src:prolific", "src:snoid"}},
+     {"src:stats", "src:obs", "src:fault", "src:runtime", "src:orbit",
+      "src:transport", "src:weather", "src:synth", "src:mlab", "src:ripe",
+      "src:prolific", "src:snoid"}},
 };
 
 bool edge_allowed(const std::string& from, const std::string& to) {
