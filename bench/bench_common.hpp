@@ -103,6 +103,5 @@ inline void note(const char* text) { std::printf("  %s\n", text); }
     print_fn();                                                            \
     ::benchmark::RunSpecifiedBenchmarks();                                 \
     ::benchmark::Shutdown();                                               \
-    session.finish();                                                      \
-    return 0;                                                              \
+    return session.finish();                                               \
   }

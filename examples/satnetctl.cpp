@@ -300,6 +300,5 @@ int main(int argc, char** argv) {
   if (err.empty()) err = session.begin("satnetctl " + cmd);
   if (!err.empty()) return session.reject(err);
   const int rc = run_command(cmd, flags, argc, argv);
-  if (rc == 0) session.finish();
-  return rc;
+  return rc == 0 ? session.finish() : rc;
 }

@@ -113,12 +113,13 @@ if [[ "$run_golden" == 1 ]]; then
   # — the equivalence oracle for both accelerators.
   echo "-- ablation round: golden_test --no-timeline --"
   ./build/tests/golden_test --no-timeline
-  # Recorder round: the snapshot suite must be byte-identical with the
-  # flight recorder enabled (observation-only oracle); the drained event
-  # JSONL lands in build/ for inspection / CI artifact upload.
-  echo "-- recorder round: golden_test --recorder-out --"
-  ./build/tests/golden_test --recorder-out build/golden-recorder.jsonl
-  test -s build/golden-recorder.jsonl
+  # Trace round: the snapshot suite must be byte-identical with the
+  # recorder stream enabled (observation-only oracle); the drained trace
+  # (manifest, metrics, spans, events) lands in build/ for inspection /
+  # CI artifact upload.
+  echo "-- trace round: golden_test --trace-out --"
+  ./build/tests/golden_test --trace-out build/golden-trace.jsonl
+  test -s build/golden-trace.jsonl
   # Timeline cold/warm/no-timeline A/B (exits 1 on divergence) + the
   # warm-replay speedup record; the JSON lands in the repo root for CI
   # artifact upload / trend tracking.
@@ -175,11 +176,13 @@ if [[ "$run_matrix" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== TSan: determinism + runtime + obs + fault tests under ThreadSanitizer =="
+  echo "== TSan: determinism + runtime + obs + recorder + fault tests under ThreadSanitizer =="
   cmake -B build-tsan -S . -DSATNET_TSAN=ON
-  cmake --build build-tsan -j "${jobs}" --target determinism_test runtime_test obs_test fault_test
+  cmake --build build-tsan -j "${jobs}" --target determinism_test runtime_test obs_test \
+    recorder_test fault_test
   ./build-tsan/tests/runtime_test
   ./build-tsan/tests/obs_test
+  ./build-tsan/tests/recorder_test
   ./build-tsan/tests/fault_test
   ./build-tsan/tests/determinism_test
 fi

@@ -14,7 +14,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "orbit/timeline.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -47,10 +46,8 @@ constexpr SharedFlag kSharedFlags[] = {
      [](A& a, const char* f, O& o) { a.text(f, &o.timeline_out); }},
     {"--metrics-out", "PATH", "Prometheus text export ('-' = stdout)",
      [](A& a, const char* f, O& o) { a.text(f, &o.metrics_out); }},
-    {"--trace-out", "PATH", "JSONL manifest, metrics, spans, events",
+    {"--trace-out", "PATH", "JSONL manifest, metrics, spans, events (+ PATH.postmortem)",
      [](A& a, const char* f, O& o) { a.text(f, &o.trace_out); }},
-    {"--recorder-out", "PATH", "flight recorder JSONL (+ PATH.postmortem)",
-     [](A& a, const char* f, O& o) { a.text(f, &o.recorder_out); }},
     {"--recorder-ring", "N", "per-shard recorder ring (default 512)",
      [](A& a, const char* f, O& o) {
        std::size_t n = 0;
@@ -194,7 +191,8 @@ std::string RunSession::parse(int* argc, char** argv) {
 
 std::string RunSession::begin(std::string tool) {
   tool_ = tool.empty() ? program_ : std::move(tool);
-  start_ms_ = obs::Tracer::global().now_ms();
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
+  start_us_ = rec.wall_now_us();
   const RunOptions& o = options_;
   if (!o.fault_plan.empty()) {
     try {
@@ -219,32 +217,31 @@ std::string RunSession::begin(std::string tool) {
       reject(err);
     }
   }
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  if (!o.recorder_out.empty()) {
+  if (!o.trace_out.empty()) {
     rec.set_enabled(true);
-    if (o.recorder_out != "-") rec.set_postmortem_path(o.recorder_out + ".postmortem");
+    if (o.trace_out != "-") rec.set_postmortem_path(o.trace_out + ".postmortem");
   }
   if (o.recorder_ring) rec.set_ring_capacity(*o.recorder_ring);
   if (o.watchdog_ms > 0 || o.watchdog_threshold_ms > 0) {
     runtime::set_pool_watchdog(o.watchdog_ms, o.watchdog_threshold_ms);
   }
-  if (!o.trace_out.empty()) obs::Tracer::global().set_enabled(true);
   return "";
 }
 
-void RunSession::finish() {
+int RunSession::finish() {
   const RunOptions& o = options_;
+  int rc = 0;
   if (!o.timeline_out.empty()) {
     const std::string err = save_timelines(o.timeline_out, stamp_);
     if (err.empty()) {
       std::printf("saved timeline to %s\n", o.timeline_out.c_str());
     } else {
-      reject(err);
+      rc = reject("--timeline-out: " + err);
     }
   }
   const std::string tl = orbit::timeline_summary_line();
   if (!tl.empty()) std::printf("%s\n", tl.c_str());
-  if (o.metrics_out.empty() && o.trace_out.empty() && o.recorder_out.empty()) return;
+  if (o.metrics_out.empty() && o.trace_out.empty()) return rc;
 
   obs::RunManifest manifest;
   manifest.tool = tool_;
@@ -254,29 +251,18 @@ void RunSession::finish() {
     manifest.notes.emplace_back("fault_plan", o.fault_plan);
     manifest.notes.emplace_back("fault_events", fault_summary_);
   }
-  manifest.wall_ms = obs::Tracer::global().now_ms() - start_ms_;
-  const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
-  // Drain the recorder once; events ride --trace-out and --recorder-out.
-  std::vector<obs::ResolvedEvent> events;
   obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  if (rec.enabled()) events = rec.drain();
-  if (!o.metrics_out.empty()) obs::write_metrics_file(o.metrics_out, snap, manifest);
-  if (!o.trace_out.empty()) {
-    obs::write_trace_file(o.trace_out, snap, obs::Tracer::global().drain(), events,
-                          manifest);
+  manifest.wall_ms = static_cast<double>(rec.wall_now_us() - start_us_) / 1000.0;
+  const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
+  if (!o.metrics_out.empty() && !obs::write_metrics_file(o.metrics_out, snap, manifest)) {
+    rc = reject("--metrics-out: cannot write " + o.metrics_out);
   }
-  if (!o.recorder_out.empty()) {
-    std::FILE* f =
-        o.recorder_out == "-" ? stdout : std::fopen(o.recorder_out.c_str(), "w");
-    if (f == nullptr) {
-      reject("cannot open " + o.recorder_out);
-    } else {
-      std::fprintf(f, "%s\n", obs::manifest_json(manifest).c_str());
-      std::fputs(obs::events_jsonl(events).c_str(), f);
-      if (f != stdout) std::fclose(f);
-    }
+  if (!o.trace_out.empty() &&
+      !obs::write_trace_file(o.trace_out, snap, rec.drain(), manifest)) {
+    rc = reject("--trace-out: cannot write " + o.trace_out);
   }
   std::fputs(obs::summary_text(snap, manifest).c_str(), stdout);
+  return rc;
 }
 
 int RunSession::reject(const std::string& diagnostic) const {

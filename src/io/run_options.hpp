@@ -14,14 +14,17 @@
 //
 // RunSession is the prologue/epilogue around a run: begin() installs the
 // fault plan, applies the timeline mode and warm start, and enables the
-// tracer, flight recorder and pool watchdog; finish() saves the
-// timeline, prints the timeline roll-up, and writes the metrics, trace
-// and recorder exports stamped with the run manifest. Exports and
+// flight recorder (--trace-out) and pool watchdog; finish() saves the
+// timeline, prints the timeline roll-up, and writes the metrics and
+// trace exports stamped with the run manifest — the trace is the one
+// recorder stream: spans, then events. An export that cannot be written
+// fails the run (exit 2, one diagnostic naming the flag). Exports and
 // summaries are observation only: simulation output is byte-identical
 // with or without any of them.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -75,9 +78,8 @@ struct RunOptions {
   bool no_timeline = false;
   std::string timeline_in;
   std::string timeline_out;
-  std::string metrics_out;  ///< "-" = stdout, as for the two below
-  std::string trace_out;
-  std::string recorder_out;
+  std::string metrics_out;  ///< "-" = stdout, as for trace_out
+  std::string trace_out;    ///< turns the recorder stream on
   std::optional<std::size_t> recorder_ring;
   unsigned watchdog_ms = 0;  ///< 0 = watchdog off
   double watchdog_threshold_ms = 0;  ///< 0 = keep the pool default
@@ -106,8 +108,10 @@ class RunSession {
   /// builds in memory.
   std::string begin(std::string tool = "");
 
-  /// Epilogue after a successful run.
-  void finish();
+  /// Epilogue after a successful run. Returns 0, or 2 after printing
+  /// one diagnostic per export (saved timeline, metrics, trace) that
+  /// could not be written.
+  int finish();
 
   /// Prints "program: diagnostic" to stderr; returns exit status 2.
   int reject(const std::string& diagnostic) const;
@@ -119,7 +123,7 @@ class RunSession {
   std::string stamp_;    ///< program plus argv[1..], as given
   RunOptions options_;
   std::string fault_summary_;
-  double start_ms_ = 0;  ///< tracer clock at begin(), for wall_ms
+  std::uint64_t start_us_ = 0;  ///< recorder clock at begin(), for wall_ms
 };
 
 }  // namespace satnet::io

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -72,6 +73,38 @@ bool json_number(const std::string& line, const char* key, double* out) {
   if (end == start) return false;
   *out = v;
   return true;
+}
+
+/// Unsigned integer field in [0, max]: plain digits only, so a sign,
+/// fraction, exponent, nan or overflow is `bad` rather than a cast.
+enum class Field { absent, ok, bad };
+Field json_uint(const std::string& line, const char* key, std::uint64_t max,
+                std::uint64_t* out) {
+  const std::string pat = "\"" + std::string(key) + "\":";
+  const auto pos = line.find(pat);
+  if (pos == std::string::npos) return Field::absent;
+  const char* p = line.c_str() + pos + pat.size();
+  if (*p < '0' || *p > '9') return Field::bad;
+  std::uint64_t v = 0;
+  for (; *p >= '0' && *p <= '9'; ++p) {
+    const auto digit = static_cast<std::uint64_t>(*p - '0');
+    if (digit > max || v > (max - digit) / 10) return Field::bad;
+    v = v * 10 + digit;
+  }
+  if (*p != ',' && *p != '}') return Field::bad;
+  *out = v;
+  return Field::ok;
+}
+
+/// Reads an unsigned field into `*out` (left as is when absent); false
+/// when the value is present but not an integer in [0, max].
+template <class T>
+bool read_uint(const std::string& line, const char* key, T* out,
+               std::uint64_t max = std::numeric_limits<T>::max()) {
+  std::uint64_t v = 0;
+  const Field f = json_uint(line, key, max, &v);
+  if (f == Field::ok) *out = static_cast<T>(v);
+  return f != Field::bad;
 }
 
 bool json_array(const std::string& line, const char* key, std::vector<double>* out) {
@@ -146,18 +179,16 @@ double approx_quantile(const MetricValue& m, double q) {
   return m.bounds.empty() ? 0.0 : m.bounds.back();
 }
 
-bool open_out(const std::string& path, std::ofstream* file, std::ostream** out) {
+/// Writes `text` to `path` ("-" = stdout); false when it cannot.
+bool write_text(const std::string& path, const std::string& text) {
   if (path == "-") {
-    *out = &std::cout;
-    return true;
+    std::cout << text << std::flush;
+    return static_cast<bool>(std::cout);
   }
-  file->open(path);
-  if (!*file) {
-    std::fprintf(stderr, "obs: cannot open %s\n", path.c_str());
-    return false;
-  }
-  *out = file;
-  return true;
+  std::ofstream file(path);
+  file << text;
+  file.close();
+  return static_cast<bool>(file);
 }
 
 }  // namespace
@@ -265,12 +296,12 @@ std::string to_jsonl(const Snapshot& snapshot, const RunManifest& manifest) {
   return out;
 }
 
-std::string spans_jsonl(const std::vector<SpanRecord>& spans) {
+std::string spans_jsonl(const std::vector<Span>& spans) {
   std::string out;
   for (const auto& s : spans) {
     out += "{\"type\":\"span\",\"phase\":\"" + json_escape(s.phase) +
            "\",\"name\":\"" + json_escape(s.name) +
-           "\",\"shard\":" + std::to_string(s.shard_key) +
+           "\",\"shard\":" + std::to_string(s.shard) +
            ",\"seq\":" + std::to_string(s.seq) +
            ",\"start_ms\":" + fmt_double(s.start_ms) +
            ",\"duration_ms\":" + fmt_double(s.duration_ms) + "}\n";
@@ -302,12 +333,6 @@ std::string events_jsonl(const std::vector<ResolvedEvent>& events) {
 }
 
 std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text) {
-  static const EventKind kKinds[] = {
-      EventKind::phase_enter,  EventKind::phase_exit,
-      EventKind::fault_hit,    EventKind::retry,
-      EventKind::degrade,      EventKind::timeline_hit,
-      EventKind::timeline_fallback, EventKind::queue_depth,
-      EventKind::stall_flag};
   std::vector<ResolvedEvent> out;
   std::istringstream in(text);
   std::string line;
@@ -318,20 +343,17 @@ std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text) {
     json_string(line, "phase", &ev.phase);
     std::string kind;
     json_string(line, "kind", &kind);
-    for (const EventKind k : kKinds) {
-      if (kind == to_string(k)) {
-        ev.rec.kind = static_cast<std::uint16_t>(k);
-        break;
-      }
+    // Kind values are contiguous from 1; to_string names every one.
+    for (std::uint16_t k = 1; to_string(static_cast<EventKind>(k)) != "unknown"; ++k) {
+      if (kind == to_string(static_cast<EventKind>(k))) ev.rec.kind = k;
     }
-    double v = 0;
-    if (json_number(line, "det", &v)) ev.rec.det = static_cast<std::uint16_t>(v);
-    if (json_number(line, "shard", &v)) ev.rec.shard = static_cast<std::uint32_t>(v);
-    if (json_number(line, "attempt", &v)) ev.rec.attempt = static_cast<std::uint32_t>(v);
-    if (json_number(line, "seq", &v)) ev.rec.seq = static_cast<std::uint32_t>(v);
-    if (json_number(line, "a", &v)) ev.rec.a = static_cast<std::uint64_t>(v);
-    if (json_number(line, "b", &v)) ev.rec.b = static_cast<std::uint64_t>(v);
-    if (json_number(line, "wall_us", &v)) ev.rec.wall_us = static_cast<std::uint64_t>(v);
+    EventRecord& r = ev.rec;
+    if (r.kind == 0 || !read_uint(line, "det", &r.det, 1) ||
+        !read_uint(line, "shard", &r.shard) || !read_uint(line, "attempt", &r.attempt) ||
+        !read_uint(line, "seq", &r.seq) || !read_uint(line, "a", &r.a) ||
+        !read_uint(line, "b", &r.b) || !read_uint(line, "wall_us", &r.wall_us)) {
+      continue;
+    }
     out.push_back(std::move(ev));
   }
   return out;
@@ -460,21 +482,17 @@ Snapshot parse_jsonl(const std::string& text) {
   return snap;
 }
 
-std::vector<SpanRecord> parse_spans_jsonl(const std::string& text) {
-  std::vector<SpanRecord> out;
+std::vector<Span> parse_spans_jsonl(const std::string& text) {
+  std::vector<Span> out;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
     std::string type;
     if (!json_string(line, "type", &type) || type != "span") continue;
-    SpanRecord s;
+    Span s;
     json_string(line, "phase", &s.phase);
     json_string(line, "name", &s.name);
-    double shard = 0, seq = 0;
-    json_number(line, "shard", &shard);
-    json_number(line, "seq", &seq);
-    s.shard_key = static_cast<std::uint64_t>(shard);
-    s.seq = static_cast<std::uint64_t>(seq);
+    if (!read_uint(line, "shard", &s.shard) || !read_uint(line, "seq", &s.seq)) continue;
     json_number(line, "start_ms", &s.start_ms);
     json_number(line, "duration_ms", &s.duration_ms);
     out.push_back(std::move(s));
@@ -547,13 +565,13 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     }
     out += line;
   }
-  // Derived: per-phase profiler table (PR 7). profile.<phase>.<field>
-  // counters aggregate shard wall/queue-wait/task counts; the table
-  // groups them back by phase. snapshot.metrics is name-sorted, so the
-  // four fields of one phase are adjacent and phases emerge in order.
+  // Derived: per-phase profile table. profile.<phase>.<field> counters
+  // aggregate shard wall/queue-wait/task counts; the table groups them
+  // back by phase. snapshot.metrics is name-sorted, so the fields of one
+  // phase are adjacent and phases emerge in order.
   struct PhaseRow {
     std::string phase;
-    double wall_us = 0, queue_wait_us = 0, tasks = 0, stalled = 0;
+    double wall_us = 0, queue_wait_us = 0, tasks = 0;
   };
   std::vector<PhaseRow> rows;
   for (const auto& m : snapshot.metrics) {
@@ -562,23 +580,19 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest) 
     const auto dot = m.name.rfind('.');
     const std::string phase = m.name.substr(8, dot - 8);
     const std::string field = m.name.substr(dot + 1);
-    if (phase == "watchdog") continue;  // the global roll-up, not a phase
-    if (rows.empty() || rows.back().phase != phase)
-      rows.push_back(PhaseRow{phase, 0, 0, 0, 0});
+    if (rows.empty() || rows.back().phase != phase) rows.push_back(PhaseRow{phase});
     PhaseRow& row = rows.back();
     if (field == "wall_us") row.wall_us = m.value;
     else if (field == "queue_wait_us") row.queue_wait_us = m.value;
     else if (field == "tasks") row.tasks = m.value;
-    else if (field == "stalled") row.stalled = m.value;
   }
   if (!rows.empty()) {
     out += "  phase profile:\n";
     for (const PhaseRow& row : rows) {
       std::snprintf(line, sizeof(line),
-                    "    %-28s tasks=%-6.0f wall=%-9.1fms queue-wait=%-9.1fms "
-                    "stalled=%.0f\n",
+                    "    %-28s tasks=%-6.0f wall=%-9.1fms queue-wait=%.1fms\n",
                     row.phase.c_str(), row.tasks, row.wall_us / 1000.0,
-                    row.queue_wait_us / 1000.0, row.stalled);
+                    row.queue_wait_us / 1000.0);
       out += line;
     }
   }
@@ -625,33 +639,14 @@ std::vector<std::string> nonfinite_metrics(const Snapshot& snapshot) {
 
 bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
                         const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_prometheus(snapshot, manifest);
-  return true;
+  return write_text(path, to_prometheus(snapshot, manifest));
 }
 
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
-                      const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_jsonl(snapshot, manifest) << spans_jsonl(spans);
-  return true;
-}
-
-bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest) {
-  std::ofstream file;
-  std::ostream* out = nullptr;
-  if (!open_out(path, &file, &out)) return false;
-  *out << to_jsonl(snapshot, manifest) << spans_jsonl(spans)
-       << events_jsonl(events);
-  return true;
+  return write_text(path, to_jsonl(snapshot, manifest) +
+                              spans_jsonl(spans_of(events)) + events_jsonl(events));
 }
 
 }  // namespace satnet::obs

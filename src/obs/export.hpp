@@ -1,5 +1,6 @@
-// Exporters for metric snapshots and span traces, plus the run
-// manifest that stamps every export with what produced it.
+// Exporters for metric snapshots and the flight-recorder stream (spans
+// and events), plus the run manifest that stamps every export with what
+// produced it.
 //
 // Two formats:
 //   * Prometheus text exposition — counters/gauges as single samples,
@@ -8,12 +9,14 @@
 //     "satnet_mlab_tests_generated" on the wire. The manifest rides
 //     along as "# manifest:" comment lines.
 //   * JSON lines — one object per line, first line the manifest
-//     ({"type":"manifest",...}), then one line per metric and one per
-//     span. This is the machine-readable trace format (--trace-out).
+//     ({"type":"manifest",...}), then one line per metric, one per span
+//     and one per event. This is the machine-readable trace format
+//     (--trace-out).
 //
 // Both formats have parsers good enough to round-trip our own output;
 // the unit tests feed exports back through them and require every
-// registered metric to survive.
+// registered metric to survive. The span and event parsers skip lines
+// whose values their records cannot represent.
 #pragma once
 
 #include <iosfwd>
@@ -23,7 +26,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 namespace satnet::obs {
 
@@ -62,7 +64,7 @@ std::string to_jsonl(const Snapshot& snapshot, const RunManifest& manifest);
 
 /// JSONL span lines (no manifest; append after to_jsonl or write with
 /// write_trace_file which adds its own manifest line).
-std::string spans_jsonl(const std::vector<SpanRecord>& spans);
+std::string spans_jsonl(const std::vector<Span>& spans);
 
 /// One flight-recorder event as a JSONL line (no trailing \n). The
 /// deterministic fields come first; `wall_us` is last so goldens can
@@ -73,7 +75,8 @@ std::string event_jsonl_line(const ResolvedEvent& event);
 std::string events_jsonl(const std::vector<ResolvedEvent>& events);
 
 /// Parses event lines out of a JSONL document (manifest/metric/span
-/// lines are ignored).
+/// lines are ignored, as are event lines with an unknown kind or a
+/// field out of its record's range).
 std::vector<ResolvedEvent> parse_events_jsonl(const std::string& text);
 
 /// Parses Prometheus text produced by to_prometheus back into a
@@ -84,8 +87,9 @@ Snapshot parse_prometheus(const std::string& text);
 /// manifest lines are ignored; metric lines are recovered.
 Snapshot parse_jsonl(const std::string& text);
 
-/// Parses span lines out of a JSONL document.
-std::vector<SpanRecord> parse_spans_jsonl(const std::string& text);
+/// Parses span lines out of a JSONL document (lines with a shard or
+/// seq out of range are skipped).
+std::vector<Span> parse_spans_jsonl(const std::string& text);
 
 /// Human-readable summary of a snapshot: counters, gauges, histogram
 /// count/mean, plus derived lines (cone-prefilter ratio) when the
@@ -99,19 +103,15 @@ std::string summary_text(const Snapshot& snapshot, const RunManifest& manifest);
 /// gates on exactly this.
 std::vector<std::string> nonfinite_metrics(const Snapshot& snapshot);
 
-/// Writes Prometheus text to `path` ("-" = stdout). Returns false and
-/// prints to stderr when the file cannot be opened.
+/// Writes Prometheus text to `path` ("-" = stdout). Returns false when
+/// the file cannot be written.
 bool write_metrics_file(const std::string& path, const Snapshot& snapshot,
                         const RunManifest& manifest);
 
-/// Writes JSONL (manifest + metrics + spans) to `path` ("-" = stdout).
+/// Writes JSONL to `path` ("-" = stdout): manifest, metrics, the span
+/// view of `events`, then the events. Returns false when the file
+/// cannot be written.
 bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
-                      const RunManifest& manifest);
-
-/// Writes JSONL (manifest + metrics + spans + flight-recorder events).
-bool write_trace_file(const std::string& path, const Snapshot& snapshot,
-                      const std::vector<SpanRecord>& spans,
                       const std::vector<ResolvedEvent>& events,
                       const RunManifest& manifest);
 

@@ -32,6 +32,13 @@ thread_local TlsSlot tls_slot;
 /// here); restored from ShardScope::prev_ on scope exit.
 thread_local ShardScope* tls_scope = nullptr;
 
+/// Scope ids only pair a span's two records inside one process; they
+/// never reach an export or a sort key, so arrival order is harmless.
+std::uint32_t next_scope_id() {
+  static std::atomic<std::uint32_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 Counter& events_counter() {
   // satlint:allow(shared-state): cached registry handle; the counter itself is thread-striped
   static Counter& c = MetricsRegistry::global().counter(
@@ -161,20 +168,27 @@ FlightRecorder::LocalRing& FlightRecorder::local_ring() {
   return *static_cast<LocalRing*>(tls_slot.raw);
 }
 
-void FlightRecorder::record(EventKind kind, std::uint64_t a, std::uint64_t b,
-                            bool det) {
-  if (!enabled()) return;
+EventRecord FlightRecorder::stamp(EventKind kind, std::uint64_t a,
+                                  std::uint64_t b) const {
   EventRecord rec;
   rec.kind = static_cast<std::uint16_t>(kind);
   rec.a = a;
   rec.b = b;
   rec.wall_us = wall_now_us();
+  return rec;
+}
+
+void FlightRecorder::record(EventKind kind, std::uint64_t a, std::uint64_t b,
+                            bool det) {
+  if (!enabled()) return;
+  EventRecord rec = stamp(kind, a, b);
   ShardScope* scope = tls_scope;
   if (scope != nullptr && scope->recorder_ == this) {
     rec.det = det ? 1 : 0;
     rec.shard = scope->shard_;
     rec.attempt = scope->attempt_;
     rec.phase_id = scope->phase_id_;
+    rec.scope = scope->id_;
     scope->ring_.push(rec);
     return;
   }
@@ -193,15 +207,11 @@ void FlightRecorder::record_for_shard(std::string_view phase, std::size_t shard,
                                       std::uint64_t a, std::uint64_t b,
                                       bool det) {
   if (!enabled()) return;
-  EventRecord rec;
-  rec.kind = static_cast<std::uint16_t>(kind);
+  EventRecord rec = stamp(kind, a, b);
   rec.det = det ? 1 : 0;
   rec.shard = static_cast<std::uint32_t>(shard);
   rec.attempt = static_cast<std::uint32_t>(attempt);
   rec.seq = 0xffffffffu;  // sorts after the shard's scoped stream
-  rec.a = a;
-  rec.b = b;
-  rec.wall_us = wall_now_us();
   const std::uint32_t phase_id = intern(phase);
   rec.phase_id = phase_id;
   {
@@ -211,16 +221,16 @@ void FlightRecorder::record_for_shard(std::string_view phase, std::size_t shard,
   events_counter().add(1);
 }
 
-void FlightRecorder::flush_ring(std::uint32_t phase_id, const Ring& ring) {
-  std::vector<EventRecord> recs;
-  recs.reserve(ring.count);
-  ring.collect(&recs);
+void FlightRecorder::flush(const ShardScope& scope) {
+  std::vector<EventRecord> recs{scope.enter_};
+  recs.reserve(scope.ring_.count + 1);
+  scope.ring_.collect(&recs);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const EventRecord& rec : recs) store_.emplace_back(phase_id, rec);
+    for (const EventRecord& rec : recs) store_.emplace_back(scope.phase_id_, rec);
   }
   events_counter().add(recs.size());
-  if (ring.dropped > 0) dropped_counter().add(ring.dropped);
+  if (scope.ring_.dropped > 0) dropped_counter().add(scope.ring_.dropped);
 }
 
 std::vector<ResolvedEvent> FlightRecorder::resolve_and_sort(
@@ -238,6 +248,11 @@ std::vector<ResolvedEvent> FlightRecorder::resolve_and_sort(
     ev.rec = rec;
     out.push_back(std::move(ev));
   }
+  // Unscoped records arrive in scheduling order, so their ring seq
+  // means nothing: sort them by content and number them by rank.
+  for (ResolvedEvent& ev : out) {
+    if (ev.rec.phase_id == 0) ev.rec.seq = 0;
+  }
   std::sort(out.begin(), out.end(),
             [](const ResolvedEvent& x, const ResolvedEvent& y) {
               return std::tie(x.phase, x.rec.shard, x.rec.attempt, x.rec.seq,
@@ -245,6 +260,33 @@ std::vector<ResolvedEvent> FlightRecorder::resolve_and_sort(
                      std::tie(y.phase, y.rec.shard, y.rec.attempt, y.rec.seq,
                               y.rec.kind, y.rec.a, y.rec.b);
             });
+  std::uint32_t rank = 0;
+  for (ResolvedEvent& ev : out) {
+    if (ev.rec.phase_id == 0) ev.rec.seq = rank++;
+  }
+  return out;
+}
+
+std::vector<Span> spans_of(const std::vector<ResolvedEvent>& events) {
+  std::map<std::uint32_t, std::uint64_t> enter_us;  // scope id -> start
+  for (const ResolvedEvent& ev : events) {
+    if (ev.rec.kind == static_cast<std::uint16_t>(EventKind::phase_enter))
+      enter_us.emplace(ev.rec.scope, ev.rec.wall_us);
+  }
+  std::vector<Span> out;
+  for (const ResolvedEvent& ev : events) {
+    if (ev.rec.kind != static_cast<std::uint16_t>(EventKind::phase_exit)) continue;
+    const auto it = enter_us.find(ev.rec.scope);
+    if (it == enter_us.end()) continue;
+    Span span;
+    span.phase = ev.phase;
+    span.name = ev.rec.attempt == 0 ? "shard" : "retry";
+    span.shard = ev.rec.shard;
+    span.seq = ev.rec.attempt;
+    span.start_ms = static_cast<double>(it->second) / 1000.0;
+    span.duration_ms = static_cast<double>(ev.rec.wall_us - it->second) / 1000.0;
+    out.push_back(std::move(span));
+  }
   return out;
 }
 
@@ -314,12 +356,20 @@ ShardScope::ShardScope(std::string_view phase, std::size_t shard,
   phase_id_ = r->intern(phase);
   shard_ = static_cast<std::uint32_t>(shard);
   attempt_ = static_cast<std::uint32_t>(attempt);
-  capacity_ = r->ring_capacity();
-  ring_.capacity = capacity_;
-  ring_.slots.reserve(capacity_ < 64 ? capacity_ : 64);
+  id_ = next_scope_id();
+  // phase_enter is pinned outside the ring (seq 0), so overflow never
+  // loses a span's start; the ring holds the rest of the capacity.
+  enter_ = r->stamp(EventKind::phase_enter, attempt_, 0);
+  enter_.shard = shard_;
+  enter_.attempt = attempt_;
+  enter_.phase_id = phase_id_;
+  enter_.scope = id_;
+  const std::size_t capacity = r->ring_capacity() - 1;
+  ring_.capacity = capacity;
+  ring_.next_seq = 1;
+  ring_.slots.reserve(capacity < 64 ? capacity : 64);
   prev_ = tls_scope;
   tls_scope = this;
-  r->record(EventKind::phase_enter, attempt_, 0);
 }
 
 ShardScope::~ShardScope() {
@@ -328,7 +378,7 @@ ShardScope::~ShardScope() {
   // the drop count before this push, `b` the total records attempted.
   recorder_->record(EventKind::phase_exit, ring_.dropped, ring_.next_seq);
   tls_scope = prev_;
-  recorder_->flush_ring(phase_id_, ring_);
+  recorder_->flush(*this);
 }
 
 }  // namespace satnet::obs

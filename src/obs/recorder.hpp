@@ -1,28 +1,33 @@
-// Flight recorder for the campaign runtime: a per-shard bounded ring
-// buffer of fixed-size binary event records, drained into the JSONL
-// export and dumped as a postmortem when a run dies.
+// Flight recorder: the single instrumentation stream of the campaign
+// runtime. A per-shard bounded ring of fixed-size binary event records,
+// drained into the JSONL export and dumped as a postmortem when a run
+// dies. Spans are a view of the stream (spans_of): every ShardScope
+// records a phase_enter/phase_exit pair, and the pair is the span.
 //
-// Record discipline mirrors the tracer: events land in buffers owned by
-// the recording thread (a ShardScope ring while a shard body runs, a
-// registered per-thread ring otherwise), so recording never contends
-// with other workers. drain() merges everything in canonical
-// (phase, shard, attempt, seq) order.
+// Events land in buffers owned by the recording thread (a ShardScope
+// ring while a shard body runs, a registered per-thread ring otherwise),
+// so recording never contends with other workers. drain() merges
+// everything in canonical (phase, shard, attempt, seq) order.
 //
 // Determinism contract: a record's *content* — kind, phase, shard,
 // attempt, seq, and the a/b payload words — is a pure function of
 // (seed, config, plan) for every record with det == 1, because such
 // records are only emitted inside a ShardScope whose event stream is
 // the shard body's deterministic execution. Ring overflow drops the
-// *oldest* records of that shard's own stream, so even the surviving
-// set is deterministic. Wall-clock lives in the separate `wall_us`
-// field (satlint-annotated at the single read site) and is excluded
-// from golden comparisons and the postmortem stability check. Records
-// emitted outside any shard scope (queue-depth samples, watchdog
-// flags) are inherently scheduling-dependent and carry det == 0.
+// *oldest* records of that shard's own stream, never its phase_enter
+// or phase_exit, so even the surviving set is deterministic and every
+// span survives. Wall-clock lives in the separate `wall_us` field
+// (satlint-annotated at the single read site) and is excluded from
+// golden comparisons and the postmortem stability check. Records
+// emitted outside any shard scope (timeline-build fault hits, pool
+// watchdog flags) arrive in scheduling order and carry det == 0; the
+// merge sorts them by content (kind, a, b) and numbers them by rank,
+// so at a fixed thread count the drained stream is byte-stable apart
+// from wall-clock fields.
 //
-// Like metrics and spans, recorder state is observation-only: nothing
-// in the simulation reads an event back, so enabling the recorder can
-// never perturb campaign output — the determinism suite pins this.
+// Like metrics, recorder state is observation-only: nothing in the
+// simulation reads an event back, so enabling the recorder can never
+// perturb campaign output — the determinism suite pins this.
 #pragma once
 
 #include <atomic>
@@ -47,8 +52,8 @@ enum class EventKind : std::uint16_t {
   degrade = 5,            ///< shard quarantined at fan-in (a = attempts used)
   timeline_hit = 6,       ///< epoch-timeline replay hit (a = layer)
   timeline_fallback = 7,  ///< replay missed, fell back to the index (a = layer)
-  queue_depth = 8,        ///< pool queue depth sample (a = depth; det = 0)
-  stall_flag = 9,         ///< watchdog flagged a straggler (a = wall ms; det = 0)
+  queue_depth = 8,        ///< reserved: no longer emitted
+  stall_flag = 9,         ///< pool watchdog flagged a task (a = running ms; det = 0)
 };
 
 std::string_view to_string(EventKind kind);
@@ -65,7 +70,7 @@ struct EventRecord {
   std::uint64_t b = 0;        ///< payload word
   std::uint64_t wall_us = 0;  ///< wall-clock, non-deterministic, golden-excluded
   std::uint32_t phase_id = 0;
-  std::uint32_t reserved = 0;
+  std::uint32_t scope = 0;    ///< pairs a scope's enter/exit; process-local, not exported
 
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
 };
@@ -78,6 +83,25 @@ struct ResolvedEvent {
   std::string phase;
   EventRecord rec;
 };
+
+/// One ShardScope as a span: its phase_enter/phase_exit pair. Keyed by
+/// (phase, shard, seq = attempt); only the two times are wall-clock.
+struct Span {
+  std::string phase;
+  std::string name;          ///< "shard" for attempt 0, "retry" after
+  std::uint32_t shard = 0;
+  std::uint32_t seq = 0;     ///< the attempt
+  double start_ms = 0;       ///< since the recorder epoch (wall-clock)
+  double duration_ms = 0;    ///< wall-clock
+};
+
+/// The span view of a drained or snapshotted stream: one span per
+/// phase_exit whose phase_enter is present, in stream order. Pairs by
+/// EventRecord::scope, so it needs records from this process (a parsed
+/// export carries no scope ids).
+std::vector<Span> spans_of(const std::vector<ResolvedEvent>& events);
+
+class ShardScope;
 
 class FlightRecorder {
  public:
@@ -94,9 +118,9 @@ class FlightRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Ring capacity per shard scope (and per unscoped thread ring).
-  /// Applies to scopes opened after the call. Minimum 2 (a ring that
-  /// cannot hold phase_enter + phase_exit records nothing useful).
+  /// Records kept per shard scope, its pinned phase_enter and
+  /// phase_exit included (and per unscoped thread ring). Applies to
+  /// scopes opened after the call. Minimum 2: the span pair.
   void set_ring_capacity(std::size_t cap);
   std::size_t ring_capacity() const {
     return ring_capacity_.load(std::memory_order_relaxed);
@@ -126,8 +150,9 @@ class FlightRecorder {
 
   /// Collects every flushed and thread-buffered record, empties the
   /// buffers, and returns the merged stream sorted by
-  /// (phase, shard, attempt, seq, kind, a). Deterministic for the
-  /// det == 1 subset at any thread count.
+  /// (phase, shard, attempt, seq, kind, a, b), unscoped records
+  /// numbered by content rank. Deterministic for the det == 1 subset at
+  /// any thread count, and apart from wall_us at a fixed thread count.
   std::vector<ResolvedEvent> drain();
 
   /// Non-destructive copy of everything drain() would return; what the
@@ -165,7 +190,8 @@ class FlightRecorder {
   };
 
   LocalRing& local_ring();
-  void flush_ring(std::uint32_t phase_id, const Ring& ring);
+  EventRecord stamp(EventKind kind, std::uint64_t a, std::uint64_t b) const;
+  void flush(const ShardScope& scope);
   std::vector<ResolvedEvent> resolve_and_sort(
       std::vector<std::pair<std::uint32_t, EventRecord>> raw) const;
 
@@ -183,11 +209,11 @@ class FlightRecorder {
 };
 
 /// RAII scope marking "this thread is running shard `shard` of phase
-/// `phase`, attempt `attempt`". Opens a bounded ring for the shard's
-/// event stream, records phase_enter/phase_exit, and flushes the ring
-/// into the recorder on exit. Cheap no-op while the recorder is
-/// disabled. Scopes may not nest on one thread (the inner scope wins
-/// until destroyed).
+/// `phase`, attempt `attempt`" — one span. Pins a phase_enter record,
+/// opens a bounded ring for the shard's event stream, pushes
+/// phase_exit last, and flushes both into the recorder on exit. Cheap
+/// no-op while the recorder is disabled. Nested scopes on one thread
+/// route records to the innermost until it is destroyed.
 class ShardScope {
  public:
   ShardScope(std::string_view phase, std::size_t shard, std::size_t attempt = 0,
@@ -205,7 +231,8 @@ class ShardScope {
   std::uint32_t phase_id_ = 0;
   std::uint32_t shard_ = 0;
   std::uint32_t attempt_ = 0;
-  std::size_t capacity_ = 0;
+  std::uint32_t id_ = 0;     ///< EventRecord::scope of both span records
+  EventRecord enter_;        ///< pinned outside the ring
   FlightRecorder::Ring ring_;
 };
 

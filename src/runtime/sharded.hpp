@@ -32,9 +32,11 @@
 // Observability: every run records each shard's wall-clock into the
 // runtime.shard.latency_ms histogram, the fan-in (slot collection) into
 // runtime.shard.merge_us, retries and quarantines into
-// runtime.shard.retry / runtime.shard.degraded, and — when tracing is
-// enabled — one span per attempt under the campaign's phase name. All of
-// it is wall-clock-only telemetry; shard results never depend on it.
+// runtime.shard.retry / runtime.shard.degraded, and the phase profile
+// into profile.<phase>.{wall_us,queue_wait_us,tasks} (completed
+// attempts). Each attempt runs in an obs::ShardScope, so when the
+// flight recorder is on it is one span of the trace. All of it is
+// wall-clock-only telemetry; shard results never depend on it.
 #pragma once
 
 #include <atomic>
@@ -50,9 +52,7 @@
 
 #include "fault/hook.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace satnet::runtime {
@@ -108,7 +108,7 @@ class ShardedCampaign {
  public:
   using ShardFn = std::function<Result(std::size_t shard)>;
 
-  /// `phase` labels this campaign's spans, groups them in trace exports
+  /// `phase` labels this campaign's spans and profile counters
   /// ("mlab.campaign", "ripe.atlas", ...), and is the target fault-plan
   /// shard_failure events match against.
   ShardedCampaign(std::size_t n_shards, ShardFn fn, std::string phase = "campaign")
@@ -141,6 +141,13 @@ class ShardedCampaign {
     obs::Histogram& latency = reg.histogram(
         "runtime.shard.latency_ms", obs::latency_buckets_ms(),
         "per-shard wall-clock");
+    const std::string profile = "profile." + phase_;
+    obs::Counter& profile_wall =
+        reg.counter(profile + ".wall_us", "total shard wall time for the phase");
+    obs::Counter& profile_wait =
+        reg.counter(profile + ".queue_wait_us", "total submit-to-start queue wait");
+    obs::Counter& profile_tasks =
+        reg.counter(profile + ".tasks", "shard attempts profiled");
 
     // Retry accounting is written by workers; an atomic keeps it
     // race-free, and the total is scheduling-independent because the
@@ -149,10 +156,8 @@ class ShardedCampaign {
 
     const auto timed_attempt = [&](std::size_t i, std::size_t attempt,
                                    double queue_wait_ms) {
-      obs::ScopedSpan span(phase_, attempt == 0 ? "shard" : "retry",
-                           static_cast<std::uint64_t>(i));
-      // Flight-recorder scope: the shard's event stream (phase enter/
-      // exit, fault hits, retries) lands in a per-shard ring whose
+      // Flight-recorder scope, one span: the shard's event stream (phase
+      // enter/exit, fault hits, retries) lands in a per-shard ring whose
       // content is deterministic — only wall_us varies run to run.
       obs::ShardScope rec_scope(phase_, i, attempt);
       if (attempt > 0) {
@@ -174,8 +179,11 @@ class ShardedCampaign {
               std::chrono::steady_clock::now() - t0)
               .count();
       latency.observe(wall_ms);
-      obs::PhaseProfiler::global().attempt_done(
-          phase_, i, wall_ms, attempt == 0 ? queue_wait_ms : 0.0);
+      profile_wall.add(static_cast<std::uint64_t>(wall_ms * 1000.0));
+      if (attempt == 0) {
+        profile_wait.add(static_cast<std::uint64_t>(queue_wait_ms * 1000.0));
+      }
+      profile_tasks.add(1);
       shards_run.add(1);
       return r;
     };
@@ -211,14 +219,14 @@ class ShardedCampaign {
     } else {
       ThreadPool pool(n_threads);
       for (std::size_t i = 0; i < n_shards_; ++i) {
-        // satlint:allow(nondet-source): queue-wait telemetry for the profiler; shard results never read the clock
-        // satlint:allow(nondet-taint): submit_t feeds only the profiler's wait_ms; guarded_shard ignores it for results
+        // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+        // satlint:allow(nondet-taint): submit_t feeds only the profile's wait_ms; guarded_shard ignores it for results
         const auto submit_t = std::chrono::steady_clock::now();
         pool.submit([i, submit_t, &guarded_shard] {
           const double wait_ms =
               std::chrono::duration<double, std::milli>(
-                  // satlint:allow(nondet-source): queue-wait telemetry for the profiler; shard results never read the clock
-                  // satlint:allow(nondet-taint): wait_ms is profiler telemetry; shard results are computed from (i, seed) alone
+                  // satlint:allow(nondet-source): queue-wait telemetry for the phase profile; shard results never read the clock
+                  // satlint:allow(nondet-taint): wait_ms is phase-profile telemetry; shard results are computed from (i, seed) alone
                   std::chrono::steady_clock::now() - submit_t)
                   .count();
           guarded_shard(i, wait_ms);
@@ -226,9 +234,6 @@ class ShardedCampaign {
       }
       pool.wait_idle();
     }
-    // Close out the phase: the watchdog's passive half computes the
-    // median shard wall time and flags stragglers (telemetry-only).
-    obs::PhaseProfiler::global().phase_done(phase_);
 
     if (report) {
       report->phase = phase_;

@@ -138,7 +138,6 @@ void ThreadPool::watchdog_loop(unsigned poll_ms, double threshold_ms) {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -147,15 +146,8 @@ void ThreadPool::submit(std::function<void()> task) {
           "never run");
     }
     tasks_.push_back(std::move(task));
-    depth = tasks_.size();
-    queue_depth_.set(static_cast<std::int64_t>(depth));
+    queue_depth_.set(static_cast<std::int64_t>(tasks_.size()));
   }
-  // Telemetry-only sample: queue depth at submit time depends on
-  // scheduling, so the record carries det=0 (and is free when the
-  // recorder is off).
-  obs::FlightRecorder::global().record(obs::EventKind::queue_depth,
-                                       static_cast<std::uint64_t>(depth), 0,
-                                       /*det=*/false);
   cv_task_.notify_one();
 }
 

@@ -31,6 +31,9 @@ TEST(BenchreportTest, DirectionInferredFromKey) {
   EXPECT_EQ(metric_direction("replay.outputs_identical"), Direction::higher_better);
   EXPECT_EQ(metric_direction("epochs.count"), Direction::info);
   EXPECT_EQ(metric_direction("config.threads"), Direction::info);
+  // A 0/1 threshold flag on a speedup is context; the speedup gates.
+  EXPECT_EQ(metric_direction("walker.batch_speedup_target_2x_met"), Direction::info);
+  EXPECT_EQ(metric_direction("walker.batch_speedup"), Direction::higher_better);
 }
 
 TEST(BenchreportTest, ParsesNestedBenchJson) {

@@ -5,13 +5,18 @@
 // (scripts/verify.sh builds with -DSATNET_TSAN=ON and runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <regex>
+#include <string>
 
+#include "fault/hook.hpp"
+#include "fault/plan.hpp"
 #include "mlab/campaign.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "orbit/timeline.hpp"
 #include "ripe/atlas.hpp"
 #include "snoid/pipeline.hpp"
@@ -131,23 +136,30 @@ TEST(DeterminismTest, AtlasDatasetIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, ObservabilityNeverPerturbsResults) {
-  // The obs contract: metrics and spans are wall-clock telemetry that
-  // never feeds back into simulation state. Campaign output must be
-  // byte-identical with observability fully off and fully on, at every
-  // thread count.
+  // The obs contract: metrics and the recorder stream (events, and the
+  // spans and profile derived from it) are telemetry that never feeds
+  // back into simulation state. Campaign, pipeline and atlas output must
+  // be byte-identical with observability fully off and fully on — a
+  // tight ring, to exercise overflow — at every thread count.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Tracer& tracer = obs::Tracer::global();
-
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
   reg.set_enabled(false);
-  tracer.set_enabled(false);
+  rec.set_enabled(false);
   const auto baseline = mlab::run_campaign(world(), campaign_config(1));
   snoid::PipelineConfig pcfg;
   pcfg.threads = 1;
   const auto baseline_pipeline = snoid::run_pipeline(baseline, pcfg);
+  ripe::AtlasConfig acfg;
+  acfg.duration_days = 30.0;
+  acfg.round_interval_hours = 24.0;
+  acfg.threads = 1;
+  const std::uint64_t atlas_baseline = atlas_hash(ripe::run_atlas_campaign(acfg));
   ASSERT_GT(baseline.size(), 0u);
 
+  const std::size_t old_capacity = rec.ring_capacity();
   reg.set_enabled(true);
-  tracer.set_enabled(true);
+  rec.set_enabled(true);
+  rec.set_ring_capacity(8);  // force drop-oldest on busy shards
   for (const unsigned threads : {1u, 2u, 8u}) {
     const auto ds = mlab::run_campaign(world(), campaign_config(threads));
     EXPECT_EQ(baseline.hash(), ds.hash()) << threads << " threads";
@@ -162,42 +174,62 @@ TEST(DeterminismTest, ObservabilityNeverPerturbsResults) {
       EXPECT_DOUBLE_EQ(a.precision(), b.precision()) << b.name;
       EXPECT_DOUBLE_EQ(a.recall(), b.recall()) << b.name;
     }
-  }
-  // Instrumentation did observe the runs (sanity: spans were recorded).
-  EXPECT_FALSE(tracer.drain().empty());
-  tracer.set_enabled(false);  // restore defaults for other tests
-}
-
-TEST(DeterminismTest, RecorderNeverPerturbsResults) {
-  // The flight recorder and phase profiler are observation-only: events
-  // land in rings, aggregates in the registry, nothing is ever read
-  // back by the simulation. Campaign output must be byte-identical with
-  // the recorder fully on (tight ring, to exercise overflow) and fully
-  // off, at every thread count.
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  rec.set_enabled(false);
-  const auto baseline = mlab::run_campaign(world(), campaign_config(1));
-  ripe::AtlasConfig acfg;
-  acfg.duration_days = 30.0;
-  acfg.round_interval_hours = 24.0;
-  acfg.threads = 1;
-  const std::uint64_t atlas_baseline = atlas_hash(ripe::run_atlas_campaign(acfg));
-  ASSERT_GT(baseline.size(), 0u);
-
-  const std::size_t old_capacity = rec.ring_capacity();
-  rec.set_enabled(true);
-  rec.set_ring_capacity(8);  // force drop-oldest on busy shards
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const auto ds = mlab::run_campaign(world(), campaign_config(threads));
-    EXPECT_EQ(baseline.hash(), ds.hash()) << threads << " threads (recorder on)";
     acfg.threads = threads;
     EXPECT_EQ(atlas_baseline, atlas_hash(ripe::run_atlas_campaign(acfg)))
-        << threads << " threads (recorder on)";
+        << threads << " threads";
   }
-  // The recorder did observe the runs (sanity: events were recorded).
-  EXPECT_FALSE(rec.drain().empty());
+  // Instrumentation did observe the runs (sanity: spans were recorded).
+  EXPECT_FALSE(obs::spans_of(rec.drain()).empty());
   rec.set_ring_capacity(old_capacity);
   rec.set_enabled(false);  // restore defaults for other tests
+}
+
+/// Span and event lines of a drained stream with the wall-clock fields
+/// masked: what must match between two runs at one thread count.
+std::string masked_stream(const std::vector<obs::ResolvedEvent>& events) {
+  static const std::regex wall("\"(start_ms|duration_ms|wall_us)\":[^,}]*");
+  return std::regex_replace(obs::spans_jsonl(obs::spans_of(events)) +
+                                obs::events_jsonl(events),
+                            wall, "\"$1\":_");
+}
+
+TEST(DeterminismTest, StreamByteStableApartFromWallClock) {
+  // At a fixed thread count the drained stream is byte-stable apart
+  // from wall-clock fields: spans keyed by (phase, shard, attempt),
+  // scoped events by their shard's own stream, and the unscoped fault
+  // hits of the timeline build (rebuilt each run) by content rank.
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
+  fault::ScopedHook hook(fault::FaultPlan::parse_spec(
+      "gateway_outage,seattle,864000,3456000,1\n"
+      "handoff_storm,starlink,432000,518400,4\n"
+      "shard_failure,mlab.campaign,0,63072000,0.3\n"));
+  const bool timeline_was_enabled = orbit::timeline_enabled();
+  orbit::set_timeline_enabled(true);
+  rec.drain();
+  rec.set_enabled(true);
+  const auto run = [&rec] {
+    orbit::EpochTimeline::clear_installed();
+    mlab::CampaignConfig cfg = campaign_config(2);
+    cfg.retry.max_attempts = 3;
+    cfg.retry.degrade = true;
+    mlab::run_campaign(world(), cfg);
+    return rec.drain();
+  };
+  const std::vector<obs::ResolvedEvent> first = run();
+  const std::vector<obs::ResolvedEvent> second = run();
+  rec.set_enabled(false);
+  orbit::set_timeline_enabled(timeline_was_enabled);
+  orbit::EpochTimeline::clear_installed();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(masked_stream(first), masked_stream(second));
+  // The run did exercise retries and unscoped (timeline-build) records.
+  const auto has = [&first](auto pred) {
+    return std::any_of(first.begin(), first.end(), pred);
+  };
+  EXPECT_TRUE(has([](const obs::ResolvedEvent& e) {
+    return e.rec.kind == static_cast<std::uint16_t>(obs::EventKind::retry);
+  }));
+  EXPECT_TRUE(has([](const obs::ResolvedEvent& e) { return e.phase == "unscoped"; }));
 }
 
 TEST(DeterminismTest, TimelineNeverPerturbsResults) {

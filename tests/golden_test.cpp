@@ -13,7 +13,7 @@
 // The shared run flags (io/run_options.hpp) apply to the whole suite,
 // and every snapshot must still match byte-for-byte — scripts/verify.sh
 // --golden runs cold, warm-from-file (--timeline-in), exact-path
-// (--no-timeline) and recorder (--recorder-out) rounds against the same
+// (--no-timeline) and recorder (--trace-out) rounds against the same
 // tests/golden/ corpus. Here --threads N adds one more asserted thread
 // count to the 1/2/8 identity check.
 #include <gtest/gtest.h>
@@ -159,6 +159,5 @@ int main(int argc, char** argv) {
   err = session.begin();
   if (!err.empty()) return session.reject(err);
   const int rc = RUN_ALL_TESTS();
-  if (rc == 0) session.finish();
-  return rc;
+  return rc == 0 ? session.finish() : rc;
 }

@@ -329,7 +329,6 @@ void expect_every_flag_set(const RunOptions& o) {
   EXPECT_EQ(o.timeline_out, "out.tl");
   EXPECT_EQ(o.metrics_out, "-");
   EXPECT_EQ(o.trace_out, "t.jsonl");
-  EXPECT_EQ(o.recorder_out, "r.jsonl");
   ASSERT_TRUE(o.recorder_ring.has_value());
   EXPECT_EQ(*o.recorder_ring, 64u);
   EXPECT_EQ(o.watchdog_ms, 250u);
@@ -341,13 +340,12 @@ TEST(RunOptionsTest, BothSpellingsOfEverySharedFlag) {
               "--fault-plan",   "plan.txt",      "--no-timeline",
               "--timeline-in",  "in.tl",         "--timeline-out",
               "out.tl",         "--metrics-out", "-",
-              "--trace-out",    "t.jsonl",       "--recorder-out",
-              "r.jsonl",        "--recorder-ring", "64",
+              "--trace-out",    "t.jsonl",       "--recorder-ring", "64",
               "--watchdog-ms",  "250",           "--watchdog-threshold-ms",
               "5000.5"};
   Argv joined{"prog", "--threads=3", "--fault-plan=plan.txt", "--no-timeline",
               "--timeline-in=in.tl", "--timeline-out=out.tl", "--metrics-out=-",
-              "--trace-out=t.jsonl", "--recorder-out=r.jsonl", "--recorder-ring=64",
+              "--trace-out=t.jsonl", "--recorder-ring=64",
               "--watchdog-ms=250", "--watchdog-threshold-ms=5000.5"};
   for (Argv* a : {&spaced, &joined}) {
     RunOptions o;
@@ -390,8 +388,7 @@ void expect_diagnostic(const std::string& diag, const std::string& flag) {
 TEST(RunOptionsTest, MissingTrailingValueIsADiagnostic) {
   for (const char* flag :
        {"--threads", "--fault-plan", "--timeline-in", "--timeline-out", "--metrics-out",
-        "--trace-out", "--recorder-out", "--recorder-ring", "--watchdog-ms",
-        "--watchdog-threshold-ms"}) {
+        "--trace-out", "--recorder-ring", "--watchdog-ms", "--watchdog-threshold-ms"}) {
     Argv a{"prog", "census", flag};
     RunOptions o;
     expect_diagnostic(parse(a, &o), flag);
@@ -419,11 +416,11 @@ TEST(RunOptionsTest, MalformedNumbersAreDiagnostics) {
 
 TEST(RunOptionsTest, UnknownArgumentsStayInOrder) {
   Argv a{"prog", "report", "--benchmark_filter=NONE", "--threads", "2", "--out", "r.md",
-         "--gtest_brief=1", "--recorder-out=-", "--degrade", "--threadsx", "9"};
+         "--gtest_brief=1", "--trace-out=-", "--degrade", "--threadsx", "9"};
   RunOptions o;
   ASSERT_EQ(parse(a, &o), "");
   EXPECT_EQ(o.threads, 2u);
-  EXPECT_EQ(o.recorder_out, "-");
+  EXPECT_EQ(o.trace_out, "-");
   const std::vector<std::string> want = {
       "report",          "--benchmark_filter=NONE", "--out",      "r.md",
       "--gtest_brief=1", "--degrade",               "--threadsx", "9"};
@@ -445,10 +442,12 @@ TEST(RunOptionsTest, HelpListsEverySharedFlag) {
   const std::string help = run_options_help();
   for (const char* flag :
        {"--threads", "--fault-plan", "--no-timeline", "--timeline-in", "--timeline-out",
-        "--metrics-out", "--trace-out", "--recorder-out", "--recorder-ring",
-        "--watchdog-ms", "--watchdog-threshold-ms"}) {
+        "--metrics-out", "--trace-out", "--recorder-ring", "--watchdog-ms",
+        "--watchdog-threshold-ms"}) {
     EXPECT_NE(help.find(std::string("  ") + flag + " "), std::string::npos) << flag;
   }
+  // The recorder stream rides --trace-out; there is no second export flag.
+  EXPECT_EQ(help.find("--recorder-out"), std::string::npos);
 }
 
 TEST(ArgScannerTest, TypedHelpersNeverThrow) {

@@ -1,6 +1,6 @@
 // The observability layer's own contract: lock-free metric updates that
-// survive a concurrent hammer + scrape, deterministic span merge order,
-// and exporters that round-trip every registered metric. The whole
+// survive a concurrent hammer + scrape, and exporters that round-trip
+// every registered metric (spans and events: recorder_test). The whole
 // binary also runs under the TSan preset (scripts/verify.sh).
 #include <gtest/gtest.h>
 
@@ -12,12 +12,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace satnet::obs {
 namespace {
@@ -317,63 +315,76 @@ TEST(ExportTest, ManifestWithEmptyCommandRoundTrips) {
   EXPECT_FALSE(summary_text(snap, m).empty());
 }
 
-TEST(TracerTest, SpansMergeInPhaseShardSeqOrder) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  // Record from multiple threads in scrambled shard order: drain must
-  // come back sorted by (phase, shard, seq) regardless.
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&tracer, t] {
-      for (int i = 0; i < 3; ++i) {
-        ScopedSpan span("phase-" + std::to_string(t % 2), "work",
-                        static_cast<std::uint64_t>(10 - i), &tracer);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 12u);
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    const bool ordered =
-        std::tie(spans[i - 1].phase, spans[i - 1].shard_key, spans[i - 1].seq) <=
-        std::tie(spans[i].phase, spans[i].shard_key, spans[i].seq);
-    EXPECT_TRUE(ordered) << "span " << i << " out of order";
-  }
-  // Drain emptied the buffers.
-  EXPECT_TRUE(tracer.drain().empty());
+// ---- hostile span/event lines: the parsers skip what a record cannot
+// represent instead of casting it (a negative or overflowing integer,
+// a nan, an unknown kind). ----
+
+const char* const kEventLine =
+    "{\"type\":\"event\",\"phase\":\"p\",\"kind\":\"fault_hit\",\"det\":1,"
+    "\"shard\":2,\"attempt\":0,\"seq\":3,\"a\":4,\"b\":5,\"wall_us\":6}";
+
+/// kEventLine with `field`'s value replaced by `value`.
+std::string event_with(const std::string& field, const std::string& value) {
+  std::string line = kEventLine;
+  const std::size_t at = line.find("\"" + field + "\":") + field.size() + 3;
+  const std::size_t end = line.find_first_of(",}", at);
+  return line.replace(at, end - at, value);
 }
 
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer;  // disabled by default
-  {
-    ScopedSpan span("p", "n", 0, &tracer);
-  }
-  EXPECT_TRUE(tracer.drain().empty());
+TEST(ExportTest, EventParserAcceptsTheWellFormedLine) {
+  const auto events = parse_events_jsonl(kEventLine);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].rec.shard, 2u);
+  EXPECT_EQ(events[0].rec.seq, 3u);
+  EXPECT_EQ(events[0].rec.a, 4u);
 }
 
-TEST(TracerTest, SpanRoundTripThroughJsonl) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    ScopedSpan span("mlab.campaign", "starlink", 3, &tracer);
-  }
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 1u);
-  const auto parsed = parse_spans_jsonl(spans_jsonl(spans));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].phase, "mlab.campaign");
-  EXPECT_EQ(parsed[0].name, "starlink");
-  EXPECT_EQ(parsed[0].shard_key, 3u);
-  EXPECT_DOUBLE_EQ(parsed[0].start_ms, spans[0].start_ms);
-  EXPECT_DOUBLE_EQ(parsed[0].duration_ms, spans[0].duration_ms);
+TEST(ExportTest, EventParserSkipsNegativeShard) {
+  EXPECT_TRUE(parse_events_jsonl(event_with("shard", "-1")).empty());
 }
 
-TEST(TracerTest, GlobalRegistryAndTracerCoexist) {
-  // The global objects are what the instrumented layers use; make sure
-  // the singletons are stable across calls.
-  EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
-  EXPECT_EQ(&Tracer::global(), &Tracer::global());
+TEST(ExportTest, EventParserSkipsOverflowingSeq) {
+  EXPECT_TRUE(parse_events_jsonl(event_with("seq", "1e30")).empty());
+  EXPECT_TRUE(parse_events_jsonl(event_with("seq", "4294967296")).empty());
+}
+
+TEST(ExportTest, EventParserSkipsNanPayload) {
+  EXPECT_TRUE(parse_events_jsonl(event_with("a", "nan")).empty());
+}
+
+TEST(ExportTest, EventParserSkipsUnknownKind) {
+  EXPECT_TRUE(parse_events_jsonl(event_with("kind", "\"bogus\"")).empty());
+}
+
+TEST(ExportTest, EventParserSkipsDetOutsideZeroOne) {
+  EXPECT_TRUE(parse_events_jsonl(event_with("det", "2")).empty());
+}
+
+TEST(ExportTest, SpanParserSkipsNegativeShard) {
+  const std::string ok =
+      "{\"type\":\"span\",\"phase\":\"p\",\"name\":\"shard\",\"shard\":1,"
+      "\"seq\":0,\"start_ms\":1.5,\"duration_ms\":2}";
+  ASSERT_EQ(parse_spans_jsonl(ok).size(), 1u);
+  std::string bad = ok;
+  bad.replace(bad.find("\"shard\":1"), 9, "\"shard\":-1");
+  EXPECT_TRUE(parse_spans_jsonl(bad).empty());
+}
+
+TEST(ExportTest, EveryEventKindRoundTrips) {
+  std::vector<ResolvedEvent> events;
+  for (std::uint16_t k = 1; to_string(static_cast<EventKind>(k)) != "unknown"; ++k) {
+    ResolvedEvent ev;
+    ev.phase = "kinds";
+    ev.rec.kind = k;
+    ev.rec.seq = k;
+    events.push_back(ev);
+  }
+  ASSERT_EQ(events.size(), 9u);  // phase_enter .. stall_flag
+  const auto parsed = parse_events_jsonl(events_jsonl(events));
+  ASSERT_EQ(parsed.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(parsed[i].rec.kind, events[i].rec.kind);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Flight recorder, phase profiler, and pool watchdog tests.
+// Flight recorder (events and the span view), shard-loop phase profile,
+// and pool watchdog tests.
 //
 // The load-bearing property is the determinism contract: a det == 1
 // record's content (kind, phase, shard, attempt, seq, a, b) replays
 // bit-for-bit, only wall_us varies, and ring overflow drops oldest
-// records so even a truncated stream is stable. The postmortem test
+// records — never a span's phase_enter or phase_exit — so even a
+// truncated stream is stable and every span survives. The postmortem test
 // pins the acceptance criterion directly: an abort-mode campaign
 // failure dumps a postmortem whose deterministic fields are identical
 // across two runs at threads=1 (wall_us stripped via suffix cut —
@@ -13,6 +15,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +25,6 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/thread_pool.hpp"
@@ -78,30 +80,34 @@ TEST(RecorderTest, RingDropsOldestAndPhaseExitSurvives) {
   rec.set_ring_capacity(4);
   {
     ShardScope scope("ring", 7, 0, &rec);
-    // 12 pushes total into a capacity-4 ring: enter (seq 0), ten
-    // fault_hits (seq 1..10), exit (seq 11). Oldest-first overwrite
-    // leaves exactly seq 8..11.
+    // 12 records: enter (seq 0, pinned outside the ring), ten
+    // fault_hits (seq 1..10), exit (seq 11). The ring holds the other
+    // three slots; oldest-first overwrite leaves enter plus seq 9..11.
     for (std::uint64_t i = 0; i < 10; ++i) {
       rec.record(EventKind::fault_hit, /*a=*/100 + i);
     }
   }
   const std::vector<ResolvedEvent> events = rec.drain();
   ASSERT_EQ(events.size(), 4u);
+  const std::uint32_t seqs[] = {0, 9, 10, 11};
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].phase, "ring");
     EXPECT_EQ(events[i].rec.shard, 7u);
-    EXPECT_EQ(events[i].rec.seq, 8u + i);
+    EXPECT_EQ(events[i].rec.seq, seqs[i]);
     EXPECT_EQ(events[i].rec.det, 1u);
   }
+  EXPECT_EQ(events[0].rec.kind, static_cast<std::uint16_t>(EventKind::phase_enter));
   // Surviving fault_hits carry their original payloads (seq k = a 99+k).
-  EXPECT_EQ(events[0].rec.kind, static_cast<std::uint16_t>(EventKind::fault_hit));
-  EXPECT_EQ(events[0].rec.a, 107u);
+  EXPECT_EQ(events[1].rec.kind, static_cast<std::uint16_t>(EventKind::fault_hit));
+  EXPECT_EQ(events[1].rec.a, 108u);
   // phase_exit is pushed last so it always survives overflow: a = drops
-  // before its own push (seqs 0..6), b = records attempted before it.
+  // before its own push (seqs 1..7), b = records attempted before it.
   const ResolvedEvent& exit_ev = events.back();
   EXPECT_EQ(exit_ev.rec.kind, static_cast<std::uint16_t>(EventKind::phase_exit));
   EXPECT_EQ(exit_ev.rec.a, 7u);
   EXPECT_EQ(exit_ev.rec.b, 11u);
+  // ... so the scope is still exactly one span.
+  EXPECT_EQ(obs::spans_of(events).size(), 1u);
 }
 
 TEST(RecorderTest, DrainMergesShardsInCanonicalOrder) {
@@ -139,7 +145,7 @@ TEST(RecorderTest, UnscopedRecordsAreTelemetryOnly) {
   // No ShardScope on this thread: the record lands in the per-thread
   // unscoped ring with det forced to 0 even though the caller claimed
   // deterministic content — unscoped arrival order is scheduling-bound.
-  rec.record(EventKind::queue_depth, 5, 0, /*det=*/true);
+  rec.record(EventKind::fault_hit, 5, 0, /*det=*/true);
   const std::vector<ResolvedEvent> events = rec.drain();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].phase, "unscoped");
@@ -260,60 +266,154 @@ TEST(RecorderTest, PostmortemDeterministicFieldsStableAcrossRuns) {
   EXPECT_NE(run_a.find("\"phase\":\"rec.postmortem.test\""), std::string::npos);
 }
 
-TEST(ProfilerTest, WatchdogFlagsStragglersOverMedianMultiple) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const double old_multiple = prof.stall_multiple();
-  const double old_min = prof.stall_min_ms();
-  prof.set_stall_multiple(4.0);
-  prof.set_stall_min_ms(1.0);
+TEST(RecorderTest, UnscopedRecordsMergeByContentRank) {
+  FlightRecorder rec;
+  rec.set_enabled(true);
+  // Two threads record the same multiset in opposite orders: the merge
+  // must hand back one order — sorted by (kind, a, b), seq = rank.
+  const auto burst = [&rec](bool reverse) {
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t a = reverse ? 3 - i : i;
+      rec.record(a % 2 == 0 ? EventKind::fault_hit : EventKind::stall_flag, a, 9 - a);
+    }
+  };
+  std::thread t1(burst, false);
+  std::thread t2(burst, true);
+  t1.join();
+  t2.join();
+  const std::vector<ResolvedEvent> events = rec.drain();
+  ASSERT_EQ(events.size(), 8u);
+  const std::uint64_t want_a[] = {0, 0, 2, 2, 1, 1, 3, 3};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].phase, "unscoped");
+    EXPECT_EQ(events[i].rec.seq, i);
+    EXPECT_EQ(events[i].rec.a, want_a[i]) << i;
+    EXPECT_EQ(events[i].rec.b, 9 - want_a[i]) << i;
+  }
+}
 
-  const char* phase = "prof.watchdog.test";
-  prof.attempt_done(phase, 0, 10.0, 0.0);
-  prof.attempt_done(phase, 1, 10.0, 0.5);
-  prof.attempt_done(phase, 2, 10.0, 0.0);
-  prof.attempt_done(phase, 3, 1000.0, 0.0);  // 100x the median: a straggler
-  EXPECT_EQ(prof.phase_done(phase), 1u);
+TEST(RecorderTest, SpansArePhaseEnterExitPairsInCanonicalOrder) {
+  FlightRecorder rec;
+  rec.set_enabled(true);
+  rec.set_ring_capacity(2);  // the span pair alone: body records all drop
+  // Scopes from four threads in scrambled shard order; one shard of
+  // each phase also retries. The span view comes back sorted by
+  // (phase, shard, seq = attempt), named shard/retry.
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&rec, t] {
+      for (std::size_t i = 0; i < 3; ++i) {
+        const std::size_t shard = 10 - i;
+        const std::size_t attempts = shard == 9 ? 2 : 1;
+        for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+          ShardScope scope("phase-" + std::to_string(t), shard, attempt, &rec);
+          rec.record(EventKind::timeline_hit, 1);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const std::vector<obs::Span> spans = obs::spans_of(rec.drain());
+  ASSERT_EQ(spans.size(), 16u);  // 4 phases x (3 shards + 1 retry)
+  std::size_t i = 0;
+  for (int t = 0; t < 4; ++t) {
+    for (const auto& [shard, seq] : {std::pair{8u, 0u}, {9u, 0u}, {9u, 1u}, {10u, 0u}}) {
+      const obs::Span& s = spans[i++];
+      EXPECT_EQ(s.phase, "phase-" + std::to_string(t));
+      EXPECT_EQ(s.shard, shard);
+      EXPECT_EQ(s.seq, seq);
+      EXPECT_EQ(s.name, seq == 0 ? "shard" : "retry");
+      EXPECT_GE(s.duration_ms, 0.0);
+    }
+  }
+}
 
-  // The phase buffer was cleared: closing again flags nothing.
-  EXPECT_EQ(prof.phase_done(phase), 0u);
+TEST(RecorderTest, SpansRoundTripThroughJsonl) {
+  FlightRecorder rec;
+  rec.set_enabled(true);
+  {
+    ShardScope scope("mlab.campaign", 3, 1, &rec);
+  }
+  const std::vector<obs::Span> spans = obs::spans_of(rec.drain());
+  ASSERT_EQ(spans.size(), 1u);
+  const std::vector<obs::Span> parsed = obs::parse_spans_jsonl(obs::spans_jsonl(spans));
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].phase, "mlab.campaign");
+  EXPECT_EQ(parsed[0].name, "retry");
+  EXPECT_EQ(parsed[0].shard, 3u);
+  EXPECT_EQ(parsed[0].seq, 1u);
+  EXPECT_DOUBLE_EQ(parsed[0].start_ms, spans[0].start_ms);
+  EXPECT_DOUBLE_EQ(parsed[0].duration_ms, spans[0].duration_ms);
+}
 
+// The tracing view: a span is a ShardScope's phase_enter/phase_exit pair.
+TEST(TracerTest, DisabledTracerRecordsNothing) {
+  FlightRecorder rec;  // disabled by default
+  {
+    ShardScope scope("p", 0, 0, &rec);
+    rec.set_enabled(true);  // a scope opened while off stays off: no half span
+  }
+  const std::vector<ResolvedEvent> events = rec.drain();
+  EXPECT_TRUE(events.empty());
+  EXPECT_TRUE(obs::spans_of(events).empty());
+}
+
+TEST(TracerTest, GlobalRegistryAndTracerCoexist) {
+  // The global objects are what the instrumented layers use; make sure
+  // the singletons are stable across calls.
+  EXPECT_EQ(&obs::MetricsRegistry::global(), &obs::MetricsRegistry::global());
+  EXPECT_EQ(&FlightRecorder::global(), &FlightRecorder::global());
+}
+
+double counter_value(const std::string& name) {
   const obs::Snapshot snap = obs::MetricsRegistry::global().scrape();
-  const obs::MetricValue* stalled = snap.find("profile.prof.watchdog.test.stalled");
-  ASSERT_NE(stalled, nullptr);
-  EXPECT_EQ(stalled->value, 1.0);
-  const obs::MetricValue* tasks = snap.find("profile.prof.watchdog.test.tasks");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->value, 4.0);
-  const obs::MetricValue* wall = snap.find("profile.prof.watchdog.test.wall_us");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->value, 1030.0 * 1000.0);
-
-  prof.set_stall_multiple(old_multiple);
-  prof.set_stall_min_ms(old_min);
+  const obs::MetricValue* m = snap.find(name);
+  return m == nullptr ? -1.0 : m->value;
 }
 
-TEST(ProfilerTest, UniformPhaseFlagsNothing) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const char* phase = "prof.uniform.test";
-  for (std::size_t s = 0; s < 8; ++s) prof.attempt_done(phase, s, 5.0, 0.0);
-  EXPECT_EQ(prof.phase_done(phase), 0u);
-}
-
-TEST(ProfilerTest, StallFloorSuppressesTrivialPhases) {
-  obs::PhaseProfiler& prof = obs::PhaseProfiler::global();
-  const double old_multiple = prof.stall_multiple();
-  const double old_min = prof.stall_min_ms();
-  prof.set_stall_multiple(2.0);
-  prof.set_stall_min_ms(50.0);
-  // 0.01ms median, 0.1ms straggler: 10x over the multiple but far under
-  // the floor — trivial phases must not flag noise.
-  const char* phase = "prof.floor.test";
-  prof.attempt_done(phase, 0, 0.01, 0.0);
-  prof.attempt_done(phase, 1, 0.01, 0.0);
-  prof.attempt_done(phase, 2, 0.1, 0.0);
-  EXPECT_EQ(prof.phase_done(phase), 0u);
-  prof.set_stall_multiple(old_multiple);
-  prof.set_stall_min_ms(old_min);
+TEST(ShardedCampaignProfileTest, ShardLoopProfilesEveryCompletedAttempt) {
+  // Five shards, shard 1 throws once and succeeds on its retry: six
+  // attempts, five completed. The profile counts completed attempts;
+  // the trace has one span per attempt, at any ring size.
+  FlightRecorder& rec = FlightRecorder::global();
+  rec.drain();
+  const std::size_t old_capacity = rec.ring_capacity();
+  rec.set_enabled(true);
+  for (const std::size_t ring : {std::size_t{512}, std::size_t{2}}) {
+    rec.set_ring_capacity(ring);
+    const std::string phase = "profile.test.ring" + std::to_string(ring);
+    std::atomic<int> failures{0};
+    runtime::ShardedCampaign<int> campaign(
+        5,
+        [&failures](std::size_t shard) {
+          if (shard == 1 && failures.fetch_add(1) == 0) {
+            throw std::runtime_error("first attempt fails");
+          }
+          return static_cast<int>(shard);
+        },
+        phase);
+    runtime::RetryPolicy policy;
+    policy.max_attempts = 2;
+    runtime::CampaignReport report;
+    const std::vector<int> out = campaign.run_with_report(2, policy, &report);
+    ASSERT_EQ(out.size(), 5u);
+    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(counter_value("profile." + phase + ".tasks"), 5.0);
+    EXPECT_GE(counter_value("profile." + phase + ".wall_us"), 0.0);
+    EXPECT_GE(counter_value("profile." + phase + ".queue_wait_us"), 0.0);
+    std::size_t shards = 0, retries = 0;
+    for (const obs::Span& s : obs::spans_of(rec.drain())) {
+      if (s.phase != phase) continue;
+      ++(s.name == "shard" ? shards : retries);
+      if (s.name == "retry") {
+        EXPECT_EQ(s.shard, 1u);
+      }
+    }
+    EXPECT_EQ(shards, 5u) << "ring " << ring;
+    EXPECT_EQ(retries, 1u) << "ring " << ring;
+  }
+  rec.set_ring_capacity(old_capacity);
+  rec.set_enabled(false);
 }
 
 TEST(WatchdogTest, PoolWatchdogFlagsLongRunningTask) {

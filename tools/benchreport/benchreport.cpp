@@ -183,10 +183,13 @@ struct Parser {
 
 Direction metric_direction(const std::string& key) {
   // Gate families by suffix/substring; everything else is context
-  // (counts, sizes-of-input, flags we can't rank).
+  // (counts, sizes-of-input, flags we can't rank). A *_met flag is a
+  // threshold on a machine-dependent speed, not a machine-independent
+  // ratio: it flips on noise, so it is context; the ratio it thresholds
+  // (a *speedup key) is what gates.
+  if (ends_with(key, "_met")) return Direction::info;
   if (contains(key, "speedup") || contains(key, "hit_ratio") ||
-      ends_with(key, "_met") || ends_with(key, "_ok") ||
-      ends_with(key, "identical")) {
+      ends_with(key, "_ok") || ends_with(key, "identical")) {
     return Direction::higher_better;
   }
   if (ends_with(key, "_ms") || ends_with(key, "_us") || ends_with(key, "_ns") ||

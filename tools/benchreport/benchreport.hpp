@@ -11,8 +11,10 @@
 // Direction is inferred from the metric key, so bench authors never
 // annotate anything:
 //   *_ms, *_us, *_ns, *_sec, *_bytes        lower is better (gated)
-//   *speedup*, *hit_ratio*, *_met, *ok*     higher is better (gated)
-//   anything else (counts, ids)             informational (never gated)
+//   *speedup*, *hit_ratio*, *_ok, *identical higher is better (gated)
+//   *_met, anything else (counts, ids)      informational (never gated)
+// A *_met key is a 0/1 flag thresholding a machine-dependent speed; it
+// flips on noise, so the ratio it thresholds gates instead.
 //
 // Absolute times are machine-dependent, so callers choose the gate:
 // ratios_only=true checks only the higher-is-better family (speedups
