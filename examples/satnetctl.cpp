@@ -297,6 +297,11 @@ int main(int argc, char** argv) {
   CtlFlags flags;
   flags.threads = session.options().threads;
   err = parse_ctl_flags(&argc, argv, &flags);
+  // Whatever no parser stripped is unknown; tle keeps its one FILE.
+  const int known = cmd == "tle" && argc > 2 && argv[2][0] != '-' ? 3 : 2;
+  if (err.empty() && argc > known) {
+    err = std::string("unknown argument '") + argv[known] + "'";
+  }
   if (err.empty()) err = session.begin("satnetctl " + cmd);
   if (!err.empty()) return session.reject(err);
   const int rc = run_command(cmd, flags, argc, argv);

@@ -21,7 +21,9 @@ AccessNetwork::AccessNetwork(AccessConfig config,
   if (config_.pops.empty() || config_.gateways.empty()) {
     throw std::invalid_argument("access network needs PoPs and gateways");
   }
-  index_ = std::make_shared<const AccessIndex>(config_, constellation_);
+  if (constellation_->model() == OrbitModel::sgp4) {
+    index_ = std::make_shared<const AccessIndex>(config_, constellation_);
+  }
   identity_hash_ = access_identity_hash(config_, constellation_.get());
 }
 
@@ -73,10 +75,11 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
       case EpochTimeline::ServingReplay::serving:
         return visible_at_epoch(user, id, epoch_sec);
       case EpochTimeline::ServingReplay::miss:
-        break;  // uncovered epoch: the index answers instead
+        break;  // uncovered epoch: answered below
     }
   }
-  return index_->serving(user, epoch_sec);
+  if (index_) return index_->serving(user, epoch_sec);
+  return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
 }
 
 VisibleSat AccessNetwork::visible_at_epoch(const geo::GeoPoint& user, const SatId& id,

@@ -111,8 +111,8 @@ class AccessNetwork {
   /// only, best epoch alignment) — used by analytics as the "floor".
   double floor_one_way_ms(const geo::GeoPoint& user, double t_sec) const;
 
-  /// The network's visibility index (null for GEO) — exposed so tests
-  /// can assert the candidate-superset property directly.
+  /// The network's visibility index (SGP4 only; null for Walker and
+  /// GEO) — exposed so tests can assert the candidate-superset property.
   const AccessIndex* access_index() const { return index_.get(); }
 
   /// Stable identity over everything that feeds sample values (see
@@ -120,11 +120,14 @@ class AccessNetwork {
   /// EpochTimeline snapshot answers for this network.
   std::uint64_t identity_hash() const { return identity_hash_; }
 
+  /// Serving satellite at an epoch boundary (timeline replay, else the
+  /// SGP4 index or the Walker sweep): bit-identical to best_visible.
+  std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
+                                                 double epoch_sec) const;
+
  private:
   friend class EpochTimeline;  ///< precomputes serving/sample layers
 
-  std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
-                                                 double epoch_sec) const;
   /// Rebuilds the serving VisibleSat for a known satellite id. Position,
   /// elevation and slant range are pure functions of (id, epoch), so the
   /// result is bit-identical to the one the sweep that picked `id` made.
@@ -141,9 +144,8 @@ class AccessNetwork {
   AccessConfig config_;
   std::shared_ptr<const Constellation> constellation_;  ///< null for GEO
   GeoFleet fleet_;                                      ///< empty for LEO/MEO
-  /// Visibility index (LEO/MEO only; null for GEO). Shared across
-  /// copies: the index holds only immutable derived data, and its
-  /// candidate caches are value-transparent (see access_index.hpp).
+  /// Visibility index (SGP4 only). Shared across copies: it holds only
+  /// immutable derived data and value-transparent candidate caches.
   std::shared_ptr<const AccessIndex> index_;
   std::uint64_t identity_hash_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -21,9 +22,9 @@ constexpr double kPi = 3.14159265358979323846;
 constexpr double kCellDeg = 1.0;
 constexpr double kCellHalfDiagRad = 0.7072 * kPi / 180.0;
 
-/// Extra gate slack absorbing the rotation-recurrence rounding of the
-/// candidate sweep (same idea as best_visible's 1e-6, widened since the
-/// index gate is reused across a whole slab).
+/// Extra gate slack absorbing the rounding of the frame's unit vectors
+/// (same idea as best_visible's 1e-6, widened since the index gate is
+/// reused across a whole slab).
 constexpr double kRoundingSlackRad = 1e-3;
 
 /// Soft bound on a thread's candidate lists; crossing it clears the
@@ -86,13 +87,11 @@ struct AccessIndex::Impl {
   std::shared_ptr<const Constellation> constellation;
   double min_elevation_deg = 0;
   double slab_sec = 60.0;
-  /// Per-shell cone gate at slab granularity: cos(theta_max + cell
+  /// Slab-granularity cone gate from the propagator's conservative
+  /// altitude/rate bounds (altitude varies per satellite, so one
+  /// worst-case gate covers the catalog): cos(theta_max + cell
   /// half-diagonal + motion slack + rounding slack).
-  std::vector<double> cos_gate;
-  /// Single slab-granularity gate for the SGP4 backend, from the
-  /// propagator's conservative altitude/rate bounds (altitude varies per
-  /// satellite there, so one worst-case gate covers the catalog).
-  double sgp4_cos_gate = 2.0;
+  double cos_gate = 2.0;
 
   const std::vector<SatId>& slab_candidates(const SlabKey& key) const;
 };
@@ -104,11 +103,10 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(const SlabKey& key)
   if (slabs.size() >= kMaxSlabEntries) slabs.clear();
   slab_build_counter().add(1);
 
-  // One cone sweep per (cell, slab), sampled at the slab midpoint with
+  // One cone test per satellite of the slab-midpoint batch frame, with
   // the gate widened so every satellite that can clear min_elevation_deg
-  // from anywhere in the cell at any instant of the slab passes. Same
-  // incremental-rotation sweep as Constellation::best_visible, same
-  // canonical (shell, plane, index) order.
+  // from anywhere in the cell at any instant of the slab passes. Frame
+  // order is canonical order.
   const double t_mid = (static_cast<double>(key.slab) + 0.5) * slab_sec;
   const double clat =
       geo::deg_to_rad((static_cast<double>(key.cell_lat) + 0.5) * kCellDeg);
@@ -119,21 +117,11 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(const SlabKey& key)
   const double gz = std::sin(clat);
 
   std::vector<SatId> cands;
-  if (constellation->model() == OrbitModel::walker) {
-    walker_cone_sweep(
-        constellation->shells(), gx, gy, gz, t_mid,
-        [&](std::size_t s) { return cos_gate[s]; },
-        [&](std::size_t s, std::size_t p, std::size_t i) {
-          cands.push_back(SatId{s, p, i});
-        });
-  } else {
-    const auto& prop =
-        static_cast<const Sgp4Propagator&>(constellation->propagator());
-    const BatchFrame& frame = prop.frame_at(t_mid);
-    for (std::size_t f = 0; f < frame.size(); ++f) {
-      if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] >= sgp4_cos_gate) {
-        cands.push_back(constellation->sat_id_from_flat(f));
-      }
+  const auto& prop = static_cast<const Sgp4Propagator&>(constellation->propagator());
+  const BatchFrame& frame = prop.frame_at(t_mid);
+  for (std::size_t f = 0; f < frame.size(); ++f) {
+    if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] >= cos_gate) {
+      cands.push_back(constellation->sat_id_from_flat(f));
     }
   }
   return slabs.emplace(key, std::move(cands)).first->second;
@@ -141,44 +129,33 @@ const std::vector<SatId>& AccessIndex::Impl::slab_candidates(const SlabKey& key)
 
 AccessIndex::AccessIndex(const AccessConfig& config,
                          std::shared_ptr<const Constellation> constellation) {
+  if (constellation->model() != OrbitModel::sgp4) {
+    throw std::invalid_argument("AccessIndex: SGP4 constellations only");
+  }
   auto impl = std::make_unique<Impl>();
   impl->id = next_index_id();
   impl->constellation = std::move(constellation);
   impl->min_elevation_deg = config.min_elevation_deg;
-  // Slabs cover a handful of reconfiguration epochs so one cone sweep
+  // Slabs cover a handful of reconfiguration epochs so one cone test
   // amortizes across them without the motion slack ballooning the gate.
   impl->slab_sec = std::max(60.0, 4.0 * config.reconfig_interval_sec);
 
+  // A satellite's ECEF direction is the composition of the orbital
+  // rotation and Earth's rotation, so its angular rate is bounded by the
+  // sum of the two; half a slab away from the midpoint sample the
+  // direction has moved at most rate * slab/2.
+  const auto& prop =
+      static_cast<const Sgp4Propagator&>(impl->constellation->propagator());
   const double e_min = geo::deg_to_rad(config.min_elevation_deg);
-  for (const Shell& shell : impl->constellation->shells()) {
-    const double ratio =
-        geo::kEarthRadiusKm / (geo::kEarthRadiusKm + shell.altitude_km);
-    const double theta_max =
-        std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
-    // A satellite's ECEF direction is the composition of the orbital
-    // rotation and Earth's rotation, so its angular rate is bounded by
-    // the sum of the two; half a slab away from the midpoint sample the
-    // direction has moved at most rate * slab/2.
-    const double motion_slack =
-        (shell.mean_motion_rad_per_sec() + kEarthRotationRadPerSec) * impl->slab_sec /
-        2.0;
-    impl->cos_gate.push_back(
-        std::cos(std::min(kPi, theta_max + kCellHalfDiagRad + motion_slack +
-                                   kRoundingSlackRad)));
-  }
-  if (impl->constellation->model() == OrbitModel::sgp4) {
-    const Propagator& prop = impl->constellation->propagator();
-    const double ratio =
-        geo::kEarthRadiusKm / (geo::kEarthRadiusKm + prop.max_gate_altitude_km());
-    const double theta_max =
-        std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
-    const double motion_slack =
-        (prop.max_angular_rate_rad_per_sec() + kEarthRotationRadPerSec) *
-        impl->slab_sec / 2.0;
-    impl->sgp4_cos_gate =
-        std::cos(std::min(kPi, theta_max + kCellHalfDiagRad + motion_slack +
-                                   kRoundingSlackRad));
-  }
+  const double ratio =
+      geo::kEarthRadiusKm / (geo::kEarthRadiusKm + prop.max_gate_altitude_km());
+  const double theta_max =
+      std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
+  const double motion_slack =
+      (prop.max_angular_rate_rad_per_sec() + kEarthRotationRadPerSec) * impl->slab_sec /
+      2.0;
+  impl->cos_gate = std::cos(std::min(
+      kPi, theta_max + kCellHalfDiagRad + motion_slack + kRoundingSlackRad));
 
   impl_ = std::move(impl);
 }

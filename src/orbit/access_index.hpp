@@ -1,20 +1,23 @@
-// Access-interval visibility index: a candidate prefilter for the
-// serving-satellite question.
+// Access-interval visibility index for SGP4 constellations: a candidate
+// prefilter for the serving-satellite question.
 //
-// For each (1-degree ground cell, time slab) the index precomputes the
-// satellites whose visibility interval can intersect the slab, via the
-// same central-angle cone test as Constellation::best_visible widened by
-// the cell half-diagonal and the satellites' angular motion across the
-// slab. The candidate list is a strict superset of the visible set, kept
-// in canonical sweep order, so running the exact ephemeris over it
-// reproduces best_visible bit-for-bit at a fraction of the sweep cost.
+// For each (1-degree ground cell, time slab) the index lists the
+// satellites that can be visible from the cell during the slab: one cone
+// test per satellite of the slab-midpoint batch frame, with the gate
+// widened by the cell half-diagonal and the satellites' motion across
+// the slab. The list is a strict superset of the visible set in
+// canonical order, so the exact ephemeris over it reproduces
+// best_visible bit-for-bit without a full-catalog frame per query.
+//
+// Walker constellations skip the index: their exact sweep drops every
+// orbit plane whose great circle misses the cone (walker_cone_sweep),
+// leaving slab lists nothing to save. The index stays SGP4-only until
+// per-backend candidate generation (ROADMAP item 3) replaces it.
 //
 // Candidate lists are pure geometry, cached per thread and keyed by a
 // process-unique index id: no locks, no cross-thread coupling, and no
-// fault-plan dependence. The index answers only the serving question;
-// full access samples are built by AccessNetwork (or replayed from an
-// EpochTimeline), and --no-timeline ablates both accelerators at once in
-// favour of the exact sweep.
+// fault-plan dependence. --no-timeline ablates the index together with
+// the epoch timeline in favour of the exact sweep.
 #pragma once
 
 #include <memory>
@@ -28,9 +31,9 @@ namespace satnet::orbit {
 
 struct AccessConfig;
 
-/// Per-AccessNetwork visibility index. Shared by copies of the owning
-/// network (the derived data is immutable); all queries are const and
-/// thread-safe via thread-local candidate caches.
+/// Per-AccessNetwork index over an SGP4 constellation (the constructor
+/// rejects Walker). Shared by copies of the owning network; all queries
+/// are const and thread-safe via thread-local candidate caches.
 class AccessIndex {
  public:
   AccessIndex(const AccessConfig& config,

@@ -159,7 +159,8 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
   // costs ~1 ms per query for a Starlink-sized constellation. Instead,
   // prefilter with a central-angle cone test on ECEF unit vectors (see
   // cone_cos_gate); unit vectors come from incremental plane rotations in
-  // walker_cone_sweep (no per-satellite trig) or a memoized SGP4 batch
+  // walker_cone_sweep (no per-satellite trig, and whole planes skipped
+  // when their great circle misses the cone) or a memoized SGP4 batch
   // frame. The exact position/elevation path runs only for the few
   // candidates inside the cone, preserving the sweep's selection order
   // and values bit-for-bit.
@@ -181,10 +182,11 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
       "orbit.best_visible.exact_evals",
       "satellites inside the cone that ran the exact ephemeris");
   std::uint64_t evals = 0;
+  std::size_t swept = propagator_->size();
 
   std::optional<VisibleSat> best;
   if (propagator_->model() == OrbitModel::walker) {
-    walker_cone_sweep(
+    swept = walker_cone_sweep(
         shells_, gx, gy, gz, t_sec,
         [&](std::size_t s) { return cone_cos_gate(shells_[s].altitude_km, e_min); },
         [&](std::size_t s, std::size_t p, std::size_t i) {
@@ -215,7 +217,7 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
     }
   }
   queries.add(1);
-  sats_swept.add(propagator_->size());
+  sats_swept.add(swept);
   exact_evals.add(evals);
   return best;
 }

@@ -244,18 +244,6 @@ geo::GeoPoint WalkerPropagator::position(std::size_t sat, double t_sec) const {
                          local % shell.sats_per_plane, t_sec);
 }
 
-double WalkerPropagator::max_gate_altitude_km() const {
-  double m = 0;
-  for (const Shell& s : shells_) m = std::max(m, s.altitude_km);
-  return m;
-}
-
-double WalkerPropagator::max_angular_rate_rad_per_sec() const {
-  double m = 0;
-  for (const Shell& s : shells_) m = std::max(m, s.mean_motion_rad_per_sec());
-  return m;
-}
-
 // ---------------------------------------------------------------------------
 // Sgp4Propagator
 // ---------------------------------------------------------------------------

@@ -90,8 +90,7 @@ class BatchPropagator {
 };
 
 /// Abstract ephemeris backend: scalar per-satellite queries plus the
-/// batch kernel, with the conservative bounds the visibility cone
-/// prefilter needs. Satellites are addressed by flat canonical index.
+/// batch kernel. Satellites are addressed by flat canonical index.
 class Propagator {
  public:
   virtual ~Propagator() = default;
@@ -109,15 +108,6 @@ class Propagator {
   /// epochs, model) — mixed into access identity hashes so persisted
   /// timelines can never answer for a different ephemeris.
   virtual std::uint64_t ephemeris_hash() const = 0;
-
-  /// Upper bound on any satellite's geodetic altitude (km), for the
-  /// visibility cone half-angle: higher altitude means a wider, i.e.
-  /// more permissive, gate.
-  virtual double max_gate_altitude_km() const = 0;
-
-  /// Upper bound on any satellite's ECEF angular rate (rad/s, Earth
-  /// rotation excluded), for slab-level gate widening.
-  virtual double max_angular_rate_rad_per_sec() const = 0;
 };
 
 /// The closed-form Walker backend.
@@ -130,8 +120,6 @@ class WalkerPropagator final : public Propagator {
   geo::GeoPoint position(std::size_t sat, double t_sec) const override;
   const BatchPropagator& batch() const override { return batch_; }
   std::uint64_t ephemeris_hash() const override { return 0; }
-  double max_gate_altitude_km() const override;
-  double max_angular_rate_rad_per_sec() const override;
 
  private:
   std::vector<Shell> shells_;
@@ -156,8 +144,14 @@ class Sgp4Propagator final : public Propagator {
   geo::GeoPoint position(std::size_t sat, double t_sec) const override;
   const BatchPropagator& batch() const override { return *batch_; }
   std::uint64_t ephemeris_hash() const override { return ephemeris_hash_; }
-  double max_gate_altitude_km() const override { return max_gate_alt_km_; }
-  double max_angular_rate_rad_per_sec() const override { return max_rate_rad_s_; }
+
+  /// Upper bound on any satellite's geodetic altitude (km), for the
+  /// visibility cone half-angle: higher altitude means a wider, i.e.
+  /// more permissive, gate.
+  double max_gate_altitude_km() const { return max_gate_alt_km_; }
+  /// Upper bound on any satellite's ECEF angular rate (rad/s, Earth
+  /// rotation excluded), for slab-level gate widening.
+  double max_angular_rate_rad_per_sec() const { return max_rate_rad_s_; }
 
   /// The catalog (empty for synthetic-element constellations).
   const std::vector<Tle>& tles() const { return tles_; }
@@ -189,17 +183,28 @@ class Sgp4Propagator final : public Propagator {
   std::unique_ptr<BatchPropagator> batch_;
 };
 
-/// Shared cone-prefilter sweep over Walker shells: visits every slot in
+/// Shared cone-prefilter sweep over Walker shells: visits slots in
 /// canonical (shell, plane, index) order via incremental plane rotations
-/// (no per-satellite trig) and invokes `on_candidate(SatId)` for each
-/// satellite whose ECEF direction clears the per-shell cos gate. The
-/// arithmetic (op order included) is the historical best_visible sweep,
-/// shared by best_visible, visible and the access index so their
-/// prefilters cannot diverge.
+/// (no per-satellite trig), calls `on_candidate(s, p, i)` for each
+/// satellite whose ECEF direction clears the per-shell cos gate, and
+/// returns how many satellites it tested against the gate. Shared by
+/// best_visible and visible so their prefilters cannot diverge.
+///
+/// Plane skip: a plane's unit vectors are cos u·A + sin u·B with A =
+/// (cos phi, sin phi, 0), B = (-cos i sin phi, cos i cos phi, sin i)
+/// orthonormal, so g·r never exceeds hypot(g·A, g·B). The gated value
+/// uses (cu, su) from the rotation recurrence, whose norm drifts from 1
+/// by a few eps per step; over <= 1e4 slots plus the dot product's own
+/// rounding that stays below 1e-11. With a 1e-9 slack a skipped plane
+/// holds no satellite the per-satellite test would pass, so callers see
+/// the same candidates, in the same order, as without the skip.
 template <typename GateFn, typename CandidateFn>
-void walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy, double gz,
-                       double t_sec, GateFn&& gate_for_shell, CandidateFn&& on_candidate) {
+std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy,
+                              double gz, double t_sec, GateFn&& gate_for_shell,
+                              CandidateFn&& on_candidate) {
   constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+  constexpr double kPlaneSlack = 1e-9;
+  std::size_t tested = 0;
   for (std::size_t s = 0; s < shells.size(); ++s) {
     const Shell& shell = shells[s];
     const double gate = gate_for_shell(s);
@@ -218,6 +223,10 @@ void walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy, d
           kEarthRotationRadPerSec * t_sec;
       const double cos_phi = std::cos(phi);
       const double sin_phi = std::sin(phi);
+      const double g_a = gx * cos_phi + gy * sin_phi;
+      const double g_b = cos_i * (gy * cos_phi - gx * sin_phi) + gz * sin_i;
+      if (std::sqrt(g_a * g_a + g_b * g_b) + kPlaneSlack < gate) continue;
+      tested += shell.sats_per_plane;
       const double u0 = phase_step * static_cast<double>(p) + motion;
       double cu = std::cos(u0);
       double su = std::sin(u0);
@@ -233,6 +242,7 @@ void walker_cone_sweep(const std::vector<Shell>& shells, double gx, double gy, d
       }
     }
   }
+  return tested;
 }
 
 }  // namespace satnet::orbit

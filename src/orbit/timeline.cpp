@@ -642,8 +642,7 @@ void EpochTimeline::ensure(const AccessNetwork& net, std::vector<TimelineQuery> 
   if (missing_s.empty() && missing_m.empty() && sample_reuse) return;  // warm
 
   // Build the missing serving decisions, each into its own slot, through
-  // the network's serving path (the index answers what the installed
-  // snapshot does not cover).
+  // the network's serving path.
   std::vector<std::uint32_t> built_s(missing_s.size(), kNoSat);
   for_each_slot(missing_s.size(), threads, [&](std::size_t i) {
     const ServingKey& k = missing_s[i];

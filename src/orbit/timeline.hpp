@@ -6,12 +6,12 @@
 // fork_stable streams, so a pre-pass can replay the exact draws the
 // shards will make and hand the full set of (terminal, time) queries to
 // EpochTimeline::ensure(). ensure() decides every serving satellite once
-// (through the access-interval index), then builds every access sample
+// (through the network's serving path), then builds every access sample
 // from that serving layer, in parallel on runtime::ThreadPool with a
 // deterministic slot-per-key merge, into sorted SoA arrays; after that
 // AccessNetwork::sample() and serving_sat_at_epoch() are binary-search
-// replays. Anything not covered falls back to the index plus an exact
-// sample build, so the timeline is value-transparent by construction:
+// replays. Anything not covered falls back to the serving path plus an
+// exact sample build, so the timeline is value-transparent by construction:
 // campaign output is byte-identical with the timeline on, loaded from
 // disk, or off (--no-timeline, the exact reference path: no timeline and
 // no index, Constellation::best_visible for every serving decision) —
@@ -134,7 +134,7 @@ class EpochTimeline {
   std::size_t byte_size() const;
 
   enum class ServingReplay {
-    miss,     ///< epoch not covered: caller falls back to the index
+    miss,     ///< epoch not covered: caller falls back to its serving path
     outage,   ///< covered, no visible satellite
     serving,  ///< covered, *out holds the serving satellite id
   };

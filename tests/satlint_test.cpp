@@ -737,11 +737,16 @@ TEST(SatlintGraphCache, TreeScanWritesAndReusesCache) {
 
 // ------------------------------------------------------ extraction golden
 
+// Pins the extractor, not the runtime: the input is a frozen copy of
+// src/runtime/thread_pool.cpp, extracted under that file's name, so
+// edits to the live thread pool never touch tests/golden/.
 TEST(SatlintGolden, ThreadPoolExtractionIsPinned) {
   const std::string repo = std::string(SATLINT_FIXTURE_DIR) + "/../..";
   const std::string rel = "src/runtime/thread_pool.cpp";
-  std::ifstream in(repo + "/" + rel, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << rel;
+  const std::string snapshot =
+      std::string(SATLINT_FIXTURE_DIR) + "/thread_pool_snapshot.cpp";
+  std::ifstream in(snapshot, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << snapshot;
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string raw = ss.str();
