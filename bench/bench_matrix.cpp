@@ -2,7 +2,8 @@
 // (synth/worldgen, matrix/invariants). Generates a sweep of worlds from
 // consecutive seeds and runs the full five-invariant catalog on each —
 // the exact work `verify.sh --matrix` buys per world — and reports
-// worlds/sec so the ledger catches the sweep getting slower.
+// worlds/sec so the ledger catches the sweep getting slower, with the
+// mean check time of SGP4 and Walker worlds apart.
 //
 // SATNET_BENCH_MATRIX_WORLDS overrides the sweep size (default 25, the
 // verify gate's floor). Writes BENCH_matrix.json (cwd) with the timings,
@@ -11,6 +12,7 @@
 // regression no matter how fast it ran.
 #include "bench/bench_common.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -67,8 +69,18 @@ void print_matrix_bench() {
   // contract — check_spec installs fault hooks and ablation switches.
   const double check_t0 = wall_ms();
   std::size_t violations = 0;
+  std::size_t sgp4_worlds = 0;
+  double sgp4_ms = 0, walker_ms = 0;
   for (const auto& spec : specs) {
+    const double world_t0 = wall_ms();
     const auto v = matrix::check_spec(spec);
+    const double world_ms = wall_ms() - world_t0;
+    const bool sgp4 = std::any_of(spec.networks.begin(), spec.networks.end(),
+                                  [](const synth::NetworkSpec& net) {
+                                    return net.model == orbit::OrbitModel::sgp4;
+                                  });
+    (sgp4 ? sgp4_ms : walker_ms) += world_ms;
+    if (sgp4) ++sgp4_worlds;
     if (v.has_value()) {
       ++violations;
       const std::string line = "VIOLATION seed " + std::to_string(spec.seed) + ": " +
@@ -82,6 +94,13 @@ void print_matrix_bench() {
   const double check_ms = wall_ms() - check_t0;
   const double mean_world_ms = check_ms / static_cast<double>(n_worlds);
   const double worlds_per_s = check_ms > 0 ? 1e3 * static_cast<double>(n_worlds) / check_ms : 0;
+  // Per-backend mean check time: what an SGP4 world costs against a
+  // Walker one.
+  const std::size_t walker_worlds = n_worlds - sgp4_worlds;
+  const double sgp4_mean_ms =
+      sgp4_worlds > 0 ? sgp4_ms / static_cast<double>(sgp4_worlds) : 0;
+  const double walker_mean_ms =
+      walker_worlds > 0 ? walker_ms / static_cast<double>(walker_worlds) : 0;
 
   std::printf("  %-34s %10zu\n", "worlds", n_worlds);
   std::printf("  %-34s %10zu\n", "satellites (total)", satellites);
@@ -91,6 +110,9 @@ void print_matrix_bench() {
   std::printf("  %-34s %10.1f\n", "check wall ms", check_ms);
   std::printf("  %-34s %10.1f\n", "mean ms / world", mean_world_ms);
   std::printf("  %-34s %10.1f\n", "worlds / sec", worlds_per_s);
+  std::printf("  %-34s %10zu\n", "sgp4 worlds", sgp4_worlds);
+  std::printf("  %-34s %10.1f\n", "sgp4 mean ms / world", sgp4_mean_ms);
+  std::printf("  %-34s %10.1f\n", "walker mean ms / world", walker_mean_ms);
   std::printf("  invariant violations: %zu (%s)\n", violations,
               violations == 0 ? "all worlds clean" : "SWEEP FAILED");
 
@@ -104,11 +126,14 @@ void print_matrix_bench() {
                "  \"bench\": \"bench_matrix\",\n"
                "  \"matrix\": {\"worlds\": %zu, \"satellites\": %zu, \"terminals\": %zu, "
                "\"fault_events\": %zu, \"generate_ms\": %.1f, \"check_ms\": %.1f, "
-               "\"mean_world_ms\": %.1f, \"worlds_per_s\": %.2f, \"violations\": %zu},\n"
+               "\"mean_world_ms\": %.1f, \"worlds_per_s\": %.2f, \"violations\": %zu, "
+               "\"sgp4_worlds\": %zu, \"sgp4_mean_world_ms\": %.1f, "
+               "\"walker_mean_world_ms\": %.1f},\n"
                "  \"invariants_ok\": %s\n"
                "}\n",
                n_worlds, satellites, terminals, faults, gen_ms, check_ms, mean_world_ms,
-               worlds_per_s, violations, violations == 0 ? "true" : "false");
+               worlds_per_s, violations, sgp4_worlds, sgp4_mean_ms, walker_mean_ms,
+               violations == 0 ? "true" : "false");
   std::fclose(out);
   bench::note("wrote BENCH_matrix.json");
   if (violations > 0) std::exit(1);

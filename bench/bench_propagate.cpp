@@ -29,7 +29,7 @@ namespace {
 using namespace satnet;
 
 // 240 epochs at the Starlink reconfiguration cadence: a 1-hour horizon,
-// the scale one matrix world or campaign slab sweep actually propagates.
+// the scale one matrix world or campaign sweep actually propagates.
 constexpr int kEpochs = 240;
 constexpr double kStepSec = 15.0;
 // Each sweep runs kRepeats times and every epoch keeps its fastest
@@ -115,7 +115,7 @@ EpochSweep run_batch_once(const orbit::Constellation& con) {
   for (int e = 1; e <= kEpochs; ++e) {
     // satlint:allow(nondet-source): bench wall-clock; results never read it
     const auto t0 = std::chrono::steady_clock::now();
-    con.propagator().batch().advance(kStepSec * e, /*unit_vectors=*/false, frame);
+    con.propagator().batch().advance(kStepSec * e, frame);
     sweep.epoch_ms.push_back(wall_ms_since(t0));
     sweep.positions += frame.size();
     mix_frame(fp, frame);
@@ -266,7 +266,7 @@ void BM_walker_batch_epoch(benchmark::State& state) {
   int e = 0;
   for (auto _ : state) {
     e = e % kEpochs + 1;
-    prop.batch().advance(kStepSec * e, false, frame);
+    prop.batch().advance(kStepSec * e, frame);
     benchmark::DoNotOptimize(frame.lat_deg.data());
   }
 }
@@ -290,7 +290,7 @@ void BM_sgp4_batch_epoch(benchmark::State& state) {
   int e = 0;
   for (auto _ : state) {
     e = e % kEpochs + 1;
-    prop.batch().advance(kStepSec * e, false, frame);
+    prop.batch().advance(kStepSec * e, frame);
     benchmark::DoNotOptimize(frame.lat_deg.data());
   }
 }

@@ -25,12 +25,17 @@
 // parses for every entry point; `satnetctl` with no arguments lists
 // them, and README.md's run-flag table documents them. Output is
 // byte-identical for every thread count and timeline mode.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "io/csv.hpp"
 #include "io/report.hpp"
@@ -51,8 +56,8 @@ namespace {
 
 using namespace satnet;
 
-/// satnetctl's own flags. Each command reads the ones it uses; every
-/// value is checked up front, before the run starts.
+/// satnetctl's own flags. Each command reads the ones command_flags
+/// lists for it; every value is checked up front, before the run starts.
 struct CtlFlags {
   unsigned threads = 0;
   double scale = 0.0005;
@@ -65,19 +70,40 @@ struct CtlFlags {
   runtime::RetryPolicy retry;
 };
 
-std::string parse_ctl_flags(int* argc, char** argv, CtlFlags* f) {
+/// The flags each command reads (beyond the shared run flags). Any other
+/// flag on its command line is rejected rather than silently ignored.
+const std::vector<std::string_view>* command_flags(const std::string& cmd) {
+  static const std::map<std::string, std::vector<std::string_view>, std::less<>> table = {
+      {"campaign", {"--scale", "--out", "--retries", "--degrade"}},
+      {"pipeline", {"--scale", "--out", "--retries", "--degrade"}},
+      {"atlas", {"--days", "--out", "--retries", "--degrade"}},
+      {"census", {}},
+      {"report", {"--scale", "--out", "--retries", "--degrade"}},
+      {"world", {"--seed", "--check", "--orbit-model"}},
+      {"tle", {"--t"}},
+  };
+  const auto it = table.find(cmd);
+  return it == table.end() ? nullptr : &it->second;
+}
+
+/// Strips the flags `reads` lists from argv into *f.
+std::string parse_ctl_flags(int* argc, char** argv,
+                            const std::vector<std::string_view>& reads, CtlFlags* f) {
+  const auto read = [&](std::string_view name) {
+    return std::find(reads.begin(), reads.end(), name) != reads.end();
+  };
   io::ArgScanner args(argc, argv);
-  args.real("--scale", &f->scale);
-  args.real("--days", &f->days);
-  args.real("--t", &f->t);
+  if (read("--scale")) args.real("--scale", &f->scale);
+  if (read("--days")) args.real("--days", &f->days);
+  if (read("--t")) args.real("--t", &f->t);
   std::string out;
-  if (args.text("--out", &out)) f->out = out;
+  if (read("--out") && args.text("--out", &out)) f->out = out;
   std::uint64_t seed = 0;
-  if (args.whole("--seed", &seed)) f->seed = seed;
-  args.text("--orbit-model", &f->orbit_model);
-  f->check = args.flag("--check");
-  args.whole("--retries", &f->retry.max_attempts, std::size_t{1});
-  f->retry.degrade = args.flag("--degrade");
+  if (read("--seed") && args.whole("--seed", &seed)) f->seed = seed;
+  if (read("--orbit-model")) args.text("--orbit-model", &f->orbit_model);
+  if (read("--check")) f->check = args.flag("--check");
+  if (read("--retries")) args.whole("--retries", &f->retry.max_attempts, std::size_t{1});
+  if (read("--degrade")) f->retry.degrade = args.flag("--degrade");
   return args.error();
 }
 
@@ -260,9 +286,7 @@ int run_command(const std::string& cmd, const CtlFlags& f, int argc, char** argv
   if (cmd == "census") return cmd_census();
   if (cmd == "report") return cmd_report(f);
   if (cmd == "world") return cmd_world(f);
-  if (cmd == "tle") return cmd_tle(f, argc, argv);
-  std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-  return 2;
+  return cmd_tle(f, argc, argv);  // command_flags admits no other command
 }
 
 }  // namespace
@@ -294,13 +318,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  const std::vector<std::string_view>* reads = command_flags(cmd);
+  if (reads == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
+    return 2;
+  }
   CtlFlags flags;
   flags.threads = session.options().threads;
-  err = parse_ctl_flags(&argc, argv, &flags);
-  // Whatever no parser stripped is unknown; tle keeps its one FILE.
+  err = parse_ctl_flags(&argc, argv, *reads, &flags);
+  // Whatever no parser stripped, the command does not read; tle keeps
+  // its one FILE.
   const int known = cmd == "tle" && argc > 2 && argv[2][0] != '-' ? 3 : 2;
   if (err.empty() && argc > known) {
-    err = std::string("unknown argument '") + argv[known] + "'";
+    err = cmd + " does not accept '" + argv[known] + "'";
   }
   if (err.empty()) err = session.begin("satnetctl " + cmd);
   if (!err.empty()) return session.reject(err);

@@ -37,9 +37,9 @@ struct EvalOptions {
   /// weather_escalation, burst_loss) by this fraction of the gap to the
   /// next same-(kind, target) window — see widen_plan().
   double widen_fraction = 0.0;
-  /// false selects the exact access path (no epoch timeline, no
-  /// access-interval index) for the duration of the evaluation
-  /// (value-transparency check); restored on exit.
+  /// false selects the exact access path (no epoch timeline) for the
+  /// duration of the evaluation (value-transparency check); restored on
+  /// exit.
   bool use_timeline = true;
   Mutation mutation = Mutation::none;
 };

@@ -48,8 +48,8 @@ std::optional<InvariantViolation> check_spec(const synth::ScenarioSpec& spec,
     }
   }
 
-  // Ablation identity: the epoch timeline and the access-interval index
-  // are value-transparent accelerators of the exact path.
+  // Ablation identity: the epoch timeline is a value-transparent
+  // accelerator of the exact path.
   {
     EvalOptions opts = base_opts;
     opts.use_timeline = false;

@@ -51,7 +51,7 @@ enum class EventKind : std::uint16_t {
   retry = 4,              ///< shard re-attempt after a failure (a = attempt)
   degrade = 5,            ///< shard quarantined at fan-in (a = attempts used)
   timeline_hit = 6,       ///< epoch-timeline replay hit (a = layer)
-  timeline_fallback = 7,  ///< replay missed, fell back to the index (a = layer)
+  timeline_fallback = 7,  ///< replay missed, fell back to the exact path (a = layer)
   queue_depth = 8,        ///< reserved: no longer emitted
   stall_flag = 9,         ///< pool watchdog flagged a task (a = running ms; det = 0)
 };

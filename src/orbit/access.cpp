@@ -6,7 +6,6 @@
 
 #include "fault/hook.hpp"
 #include "geo/places.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/timeline.hpp"
 
 namespace satnet::orbit {
@@ -20,9 +19,6 @@ AccessNetwork::AccessNetwork(AccessConfig config,
   if (!constellation_) throw std::invalid_argument("null constellation");
   if (config_.pops.empty() || config_.gateways.empty()) {
     throw std::invalid_argument("access network needs PoPs and gateways");
-  }
-  if (constellation_->model() == OrbitModel::sgp4) {
-    index_ = std::make_shared<const AccessIndex>(config_, constellation_);
   }
   identity_hash_ = access_identity_hash(config_, constellation_.get());
 }
@@ -63,7 +59,7 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
   if (config_.orbit == OrbitClass::geo) {
     return fleet_.best_visible(user, config_.min_elevation_deg);
   }
-  // --no-timeline is the exact reference path: no replay, no index.
+  // --no-timeline is the exact reference path: no replay.
   if (!timeline_enabled()) {
     return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
   }
@@ -78,7 +74,6 @@ std::optional<VisibleSat> AccessNetwork::serving_sat_at_epoch(const geo::GeoPoin
         break;  // uncovered epoch: answered below
     }
   }
-  if (index_) return index_->serving(user, epoch_sec);
   return constellation_->best_visible(user, epoch_sec, config_.min_elevation_deg);
 }
 

@@ -25,7 +25,6 @@
 
 namespace satnet::orbit {
 
-class AccessIndex;
 class EpochTimeline;
 
 /// A point of presence: where the operator hands traffic to the Internet.
@@ -111,17 +110,13 @@ class AccessNetwork {
   /// only, best epoch alignment) — used by analytics as the "floor".
   double floor_one_way_ms(const geo::GeoPoint& user, double t_sec) const;
 
-  /// The network's visibility index (SGP4 only; null for Walker and
-  /// GEO) — exposed so tests can assert the candidate-superset property.
-  const AccessIndex* access_index() const { return index_.get(); }
-
   /// Stable identity over everything that feeds sample values (see
   /// access_identity_hash in timeline.hpp) — the key under which an
   /// EpochTimeline snapshot answers for this network.
   std::uint64_t identity_hash() const { return identity_hash_; }
 
   /// Serving satellite at an epoch boundary (timeline replay, else the
-  /// SGP4 index or the Walker sweep): bit-identical to best_visible.
+  /// constellation's cone sweep): bit-identical to best_visible.
   std::optional<VisibleSat> serving_sat_at_epoch(const geo::GeoPoint& user,
                                                  double epoch_sec) const;
 
@@ -144,9 +139,6 @@ class AccessNetwork {
   AccessConfig config_;
   std::shared_ptr<const Constellation> constellation_;  ///< null for GEO
   GeoFleet fleet_;                                      ///< empty for LEO/MEO
-  /// Visibility index (SGP4 only). Shared across copies: it holds only
-  /// immutable derived data and value-transparent candidate caches.
-  std::shared_ptr<const AccessIndex> index_;
   std::uint64_t identity_hash_ = 0;
 };
 

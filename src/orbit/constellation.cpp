@@ -130,17 +130,16 @@ std::vector<VisibleSat> Constellation::visible(const geo::GeoPoint& ground, doub
   }
 
   const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
-  const BatchFrame& frame = sgp4.frame_at(t_sec);
-  const double gate = cone_cos_gate(sgp4.max_gate_altitude_km(), e_min);
-  for (std::size_t f = 0; f < frame.size(); ++f) {
-    if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
-    const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
-    const double elev = geo::elevation_deg(ground, pos);
-    if (elev >= min_elevation_deg) {
-      out.push_back({sat_id_from_flat(f), pos, elev,
-                     geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)});
-    }
-  }
+  sgp4_cone_sweep(sgp4, gx, gy, gz, t_sec,
+                  cone_cos_gate(sgp4.max_gate_altitude_km(), e_min),
+                  [&](std::size_t f, const geo::GeoPoint& pos) {
+                    const double elev = geo::elevation_deg(ground, pos);
+                    if (elev >= min_elevation_deg) {
+                      out.push_back({sat_id_from_flat(f), pos, elev,
+                                     geo::slant_range_km(
+                                         {ground.lat_deg, ground.lon_deg, 0.0}, pos)});
+                    }
+                  });
   return out;
 }
 
@@ -160,8 +159,9 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
   // prefilter with a central-angle cone test on ECEF unit vectors (see
   // cone_cos_gate); unit vectors come from incremental plane rotations in
   // walker_cone_sweep (no per-satellite trig, and whole planes skipped
-  // when their great circle misses the cone) or a memoized SGP4 batch
-  // frame. The exact position/elevation path runs only for the few
+  // when their great circle misses the cone) or sgp4_cone_sweep's
+  // memoized grid frame (gate widened by the motion since the grid
+  // instant). The exact position/elevation path runs only for the few
   // candidates inside the cone, preserving the sweep's selection order
   // and values bit-for-bit.
   double gx, gy, gz;
@@ -182,7 +182,7 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
       "orbit.best_visible.exact_evals",
       "satellites inside the cone that ran the exact ephemeris");
   std::uint64_t evals = 0;
-  std::size_t swept = propagator_->size();
+  std::size_t swept = 0;
 
   std::optional<VisibleSat> best;
   if (propagator_->model() == OrbitModel::walker) {
@@ -202,19 +202,17 @@ std::optional<VisibleSat> Constellation::best_visible(const geo::GeoPoint& groun
         });
   } else {
     const auto& sgp4 = static_cast<const Sgp4Propagator&>(*propagator_);
-    const BatchFrame& frame = sgp4.frame_at(t_sec);
-    const double gate = cone_cos_gate(sgp4.max_gate_altitude_km(), e_min);
-    for (std::size_t f = 0; f < frame.size(); ++f) {
-      if (gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) continue;
-      ++evals;
-      const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
-      const double elev = geo::elevation_deg(ground, pos);
-      if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
-        best = VisibleSat{sat_id_from_flat(f), pos, elev,
-                          geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0},
-                                              pos)};
-      }
-    }
+    swept = sgp4_cone_sweep(
+        sgp4, gx, gy, gz, t_sec, cone_cos_gate(sgp4.max_gate_altitude_km(), e_min),
+        [&](std::size_t f, const geo::GeoPoint& pos) {
+          ++evals;
+          const double elev = geo::elevation_deg(ground, pos);
+          if (elev >= min_elevation_deg && (!best || elev > best->elevation_deg)) {
+            best = VisibleSat{sat_id_from_flat(f), pos, elev,
+                              geo::slant_range_km(
+                                  {ground.lat_deg, ground.lon_deg, 0.0}, pos)};
+          }
+        });
   }
   queries.add(1);
   sats_swept.add(swept);

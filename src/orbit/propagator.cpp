@@ -4,8 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace satnet::orbit {
 
@@ -147,17 +147,11 @@ BatchPropagator::BatchPropagator(const std::vector<Shell>& shells) {
 BatchPropagator::BatchPropagator(const Sgp4Propagator* sgp4)
     : n_(sgp4->size()), sgp4_(sgp4) {}
 
-void BatchPropagator::advance(double t_sec, bool unit_vectors, BatchFrame& out) const {
+void BatchPropagator::advance(double t_sec, BatchFrame& out) const {
   out.t_sec = t_sec;
-  out.has_unit_vectors = unit_vectors;
   out.lat_deg.resize(n_);
   out.lon_deg.resize(n_);
   out.alt_km.resize(n_);
-  if (unit_vectors) {
-    out.ux.resize(n_);
-    out.uy.resize(n_);
-    out.uz.resize(n_);
-  }
   if (sgp4_ != nullptr) {
     // GMST depends only on the epoch, not the satellite — computed once
     // here, per-call in the scalar path, same double either way.
@@ -170,16 +164,6 @@ void BatchPropagator::advance(double t_sec, bool unit_vectors, BatchFrame& out) 
     }
   } else {
     advance_walker(t_sec, out);
-  }
-  if (unit_vectors) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double lat = to_rad_inline(out.lat_deg[i]);
-      const double lon = to_rad_inline(out.lon_deg[i]);
-      const double clat = std::cos(lat);
-      out.ux[i] = clat * std::cos(lon);
-      out.uy[i] = clat * std::sin(lon);
-      out.uz[i] = std::sin(lat);
-    }
   }
 }
 
@@ -340,34 +324,74 @@ geo::GeoPoint Sgp4Propagator::position_at_gst(std::size_t sat, double t_sec,
 
 namespace {
 
-/// One memoized frame per (thread, propagator): campaigns ask for every
-/// terminal at the same epoch before moving time forward, so a single
-/// slot hits almost always. Keyed by the process-unique propagator id
-/// (never a pointer — ids are not reused).
-struct FrameSlot {
-  bool valid = false;
-  std::uint64_t t_bits = 0;
-  BatchFrame frame;
+/// Bounds of the per-thread grid-frame memo: the most recently used
+/// propagators, each with its most recently used grid frames. A matrix
+/// world's horizon (at most 2700 s) spans at most 46 grid instants, so
+/// one shard's walk through time leaves in place every frame the next
+/// shard needs. The memo stays bounded however many propagators the
+/// process builds: the least recently used propagator's frames go
+/// first, and since ids are never reused a dropped entry cannot alias
+/// a live propagator.
+constexpr std::size_t kMemoPropagators = 4;
+constexpr std::size_t kMemoFramesPerPropagator = 64;
+
+struct PropagatorFrames {
+  std::uint64_t id = 0;
+  std::vector<std::unique_ptr<GridFrame>> frames;  ///< most recently used first
 };
 
-FrameSlot& frame_slot(std::uint64_t id) {
-  thread_local std::unordered_map<std::uint64_t, std::unique_ptr<FrameSlot>> slots;
-  auto& slot = slots[id];
-  if (!slot) slot = std::make_unique<FrameSlot>();
-  return *slot;
+/// Moves the first element matching `match` to the front of `v`; false
+/// when there is none.
+template <typename T, typename Match>
+bool move_to_front(std::vector<T>& v, Match match) {
+  const auto it = std::find_if(v.begin(), v.end(), match);
+  if (it == v.end()) return false;
+  std::rotate(v.begin(), it, it + 1);
+  return true;
 }
 
 }  // namespace
 
-const BatchFrame& Sgp4Propagator::frame_at(double t_sec) const {
-  FrameSlot& slot = frame_slot(id_);
-  const std::uint64_t key = bits(t_sec);
-  if (!slot.valid || slot.t_bits != key) {
-    batch_->advance(t_sec, /*unit_vectors=*/true, slot.frame);
-    slot.t_bits = key;
-    slot.valid = true;
+const GridFrame& Sgp4Propagator::grid_frame(double t_sec) const {
+  const double t_grid =
+      static_cast<double>(std::llround(t_sec / kGridStepSec)) * kGridStepSec;
+  thread_local std::vector<PropagatorFrames> memo;  // most recently used first
+  if (!move_to_front(memo, [&](const PropagatorFrames& p) { return p.id == id_; })) {
+    if (memo.size() == kMemoPropagators) memo.pop_back();
+    memo.insert(memo.begin(), PropagatorFrames{id_, {}});
   }
-  return slot.frame;
+  std::vector<std::unique_ptr<GridFrame>>& frames = memo.front().frames;
+  if (move_to_front(frames, [&](const auto& f) { return f->t_sec == t_grid; })) {
+    return *frames.front();
+  }
+  std::unique_ptr<GridFrame> frame;
+  if (frames.size() == kMemoFramesPerPropagator) {
+    frame = std::move(frames.back());  // reuse the evicted frame's storage
+    frames.pop_back();
+  } else {
+    frame = std::make_unique<GridFrame>();
+  }
+  const std::size_t n = sats_.size();
+  frame->t_sec = t_grid;
+  frame->ux.resize(n);
+  frame->uy.resize(n);
+  frame->uz.resize(n);
+  frame->decayed.resize(n);
+  const double gst = gstime(epoch_jd_ + t_grid / 86400.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::GeoPoint p = position_at_gst(i, t_grid, gst);
+    // Flagging a live satellite that happened to sit at the sentinel
+    // altitude would only add a candidate, never drop one.
+    frame->decayed[i] = p.alt_km == kDecayedSentinel.alt_km ? 1 : 0;
+    const double lat = to_rad_inline(p.lat_deg);
+    const double lon = to_rad_inline(p.lon_deg);
+    const double clat = std::cos(lat);
+    frame->ux[i] = clat * std::cos(lon);
+    frame->uy[i] = clat * std::sin(lon);
+    frame->uz[i] = std::sin(lat);
+  }
+  frames.insert(frames.begin(), std::move(frame));
+  return *frames.front();
 }
 
 }  // namespace satnet::orbit

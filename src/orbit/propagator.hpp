@@ -1,5 +1,6 @@
 // Propagator interface: Walker-circular and SGP4 ephemeris backends,
-// plus the structure-of-arrays batch kernel.
+// plus the structure-of-arrays batch kernel and the cone sweeps that
+// answer visibility queries on each backend.
 //
 // The closed-form Walker mode is the fast exact default and stays
 // bit-identical to the historical Constellation::position arithmetic
@@ -13,10 +14,17 @@
 // pass over contiguous per-satellite arrays (precomputed constants,
 // vectorizable inner loop). Its geodetic outputs are bit-identical to
 // the scalar position() path per satellite — the batch is a throughput
-// optimization, never a value change — so best_visible/access_index/
-// timeline can consume frames through the same cone-prefilter path.
+// optimization, never a value change.
+//
+// Visibility queries go through walker_cone_sweep (incremental plane
+// rotations, whole planes skipped) or sgp4_cone_sweep (one memoized
+// unit-vector frame per 60 s grid instant, gate widened by the motion
+// since that instant). Both emit a superset of the visible satellites
+// in canonical order, and only those candidates run the exact
+// ephemeris, so answers match a full-catalog sweep bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -44,19 +52,26 @@ geo::GeoPoint walker_position(const Shell& shell, std::size_t plane, std::size_t
                               double t_sec);
 
 /// One batch-propagated epoch: geodetic position per satellite in
-/// canonical (shell, plane, index) order, plus optional ECEF unit
-/// vectors for cone gating. Reused across advance() calls so the
-/// steady-state epoch loop does no allocation.
+/// canonical (shell, plane, index) order. Reused across advance() calls
+/// so the steady-state epoch loop does no allocation.
 struct BatchFrame {
   double t_sec = 0;
-  bool has_unit_vectors = false;
   std::vector<double> lat_deg, lon_deg, alt_km;
-  std::vector<double> ux, uy, uz;
 
   std::size_t size() const { return lat_deg.size(); }
 };
 
 class Sgp4Propagator;
+
+/// Earth-fixed unit vector of every SGP4 satellite at one grid instant,
+/// in canonical order, for cone gating only. `decayed[i]` is 1 when
+/// satellite i's propagation failed there (its position is the decayed
+/// sentinel, whose direction means nothing).
+struct GridFrame {
+  double t_sec = 0;
+  std::vector<double> ux, uy, uz;
+  std::vector<std::uint8_t> decayed;
+};
 
 /// The SoA batch kernel. Construction precomputes every per-satellite
 /// constant the scalar path re-derives per call (plane RAAN, phase
@@ -73,9 +88,8 @@ class BatchPropagator {
   std::size_t size() const { return n_; }
 
   /// Fills `out` with every satellite's position at t. Geodetic values
-  /// are bit-identical to the scalar position() path. Unit vectors are
-  /// derived from the geodetic angles when requested.
-  void advance(double t_sec, bool unit_vectors, BatchFrame& out) const;
+  /// are bit-identical to the scalar position() path.
+  void advance(double t_sec, BatchFrame& out) const;
 
  private:
   void advance_walker(double t_sec, BatchFrame& out) const;
@@ -149,8 +163,8 @@ class Sgp4Propagator final : public Propagator {
   /// visibility cone half-angle: higher altitude means a wider, i.e.
   /// more permissive, gate.
   double max_gate_altitude_km() const { return max_gate_alt_km_; }
-  /// Upper bound on any satellite's ECEF angular rate (rad/s, Earth
-  /// rotation excluded), for slab-level gate widening.
+  /// Upper bound on any satellite's inertial angular rate (rad/s, Earth
+  /// rotation excluded), for widening the grid-frame gate.
   double max_angular_rate_rad_per_sec() const { return max_rate_rad_s_; }
 
   /// The catalog (empty for synthetic-element constellations).
@@ -158,10 +172,13 @@ class Sgp4Propagator final : public Propagator {
   /// Julian date mapped to simulation t=0.
   double epoch_jd() const { return epoch_jd_; }
 
-  /// Batch frame at t with unit vectors, memoized per thread for the
-  /// common many-terminals-one-epoch query pattern. The memo is a pure
-  /// cache: values always equal a fresh advance() at t.
-  const BatchFrame& frame_at(double t_sec) const;
+  /// Spacing of the coarse cone frames (see sgp4_cone_sweep).
+  static constexpr double kGridStepSec = 60.0;
+  /// Frame at the grid instant nearest t (llround(t / kGridStepSec)
+  /// steps), memoized per thread. The memo is a pure, bounded cache:
+  /// values always equal a fresh propagation at the grid instant. The
+  /// reference is valid until this thread's next grid_frame call.
+  const GridFrame& grid_frame(double t_sec) const;
 
   /// position() with the GMST precomputed by the caller — the batch
   /// kernel hoists it per epoch; gst must equal
@@ -172,7 +189,7 @@ class Sgp4Propagator final : public Propagator {
   friend class BatchPropagator;
   void finalize();
 
-  std::uint64_t id_ = 0;  ///< process-unique, keys the thread-local memo
+  std::uint64_t id_ = 0;  ///< process-unique, keys the thread-local grid memo
   std::vector<Tle> tles_;
   std::vector<Sgp4> sats_;
   std::vector<double> epoch_offset_min_;  ///< sat epoch -> t=0 offset
@@ -243,6 +260,54 @@ std::size_t walker_cone_sweep(const std::vector<Shell>& shells, double gx, doubl
     }
   }
   return tested;
+}
+
+/// SGP4 counterpart of walker_cone_sweep: gate-tests every satellite's
+/// grid-frame direction against the ground unit vector g, runs the exact
+/// ephemeris (one GMST per query) for each candidate in canonical order,
+/// calls `on_candidate(flat, position)`, and returns how many satellites
+/// it gate-tested. `cone_gate` is cos of the visibility half-angle at
+/// max_gate_altitude_km() (cone_cos_gate). Shared by best_visible and
+/// visible so their prefilters cannot diverge.
+///
+/// Gate widening: a satellite's ECEF direction turns at most at its
+/// inertial rate plus Earth's (the angular velocities add), and the
+/// inertial rate of any orbit is bounded by its perigee true-anomaly
+/// rate, max_angular_rate_rad_per_sec(). So a satellite visible from g
+/// at t, i.e. within the cone half-angle theta of g, sits within theta +
+/// (rate + omega_earth)·|t − t_k| of g at the grid instant t_k. The
+/// 1e-3 rad slack covers what that Kepler bound leaves out: SGP4's
+/// secular and periodic perturbation rates (J2 precession and
+/// short-period terms, below 1e-5 rad/s in LEO, so below 3e-4 rad over
+/// the widest 30 s offset) and the unit vectors' rounding (~1e-15). A
+/// satellite decayed so low that it outruns the catalog's rate bound
+/// sees a cone far narrower than theta at max_gate_altitude_km(), which
+/// absorbs the extra motion. A satellite whose grid-frame position is the
+/// decayed sentinel is always a candidate: it may still be alive at t.
+/// The exact evaluation is position_at_gst at t with gst = gstime(t),
+/// the same double a full batch frame at t holds, so strict-improvement
+/// selection over the candidates picks what a full sweep picks.
+template <typename CandidateFn>
+std::size_t sgp4_cone_sweep(const Sgp4Propagator& prop, double gx, double gy, double gz,
+                            double t_sec, double cone_gate, CandidateFn&& on_candidate) {
+  constexpr double kPi = 3.14159265358979323846;
+  constexpr double kRoundingSlackRad = 1e-3;
+  const GridFrame& frame = prop.grid_frame(t_sec);
+  const double widen =
+      (prop.max_angular_rate_rad_per_sec() + kEarthRotationRadPerSec) *
+          std::fabs(t_sec - frame.t_sec) +
+      kRoundingSlackRad;
+  const double gate = std::cos(std::min(kPi, std::acos(cone_gate) + widen));
+  const double gst = gstime(prop.epoch_jd() + t_sec / 86400.0);
+  const std::size_t n = frame.ux.size();
+  for (std::size_t f = 0; f < n; ++f) {
+    if (frame.decayed[f] == 0 &&
+        gx * frame.ux[f] + gy * frame.uy[f] + gz * frame.uz[f] < gate) {
+      continue;
+    }
+    on_candidate(f, prop.position_at_gst(f, t_sec, gst));
+  }
+  return n;
 }
 
 }  // namespace satnet::orbit

@@ -13,6 +13,7 @@
 
 #include "fault/hook.hpp"
 #include "fault/plan.hpp"
+#include "matrix/eval.hpp"
 #include "mlab/campaign.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -21,6 +22,7 @@
 #include "ripe/atlas.hpp"
 #include "snoid/pipeline.hpp"
 #include "synth/world.hpp"
+#include "synth/worldgen.hpp"
 
 namespace satnet {
 namespace {
@@ -233,8 +235,8 @@ TEST(DeterminismTest, StreamByteStableApartFromWallClock) {
 }
 
 TEST(DeterminismTest, TimelineNeverPerturbsResults) {
-  // The accelerated access path (timeline replay, access-interval index
-  // for anything uncovered and for every serving decision the timeline
+  // The accelerated access path (timeline replay, the cone sweeps for
+  // anything uncovered and for every serving decision the timeline
   // build makes) must equal the exact path value for value, so campaign
   // output is byte-identical with the timeline on and off, at every
   // thread count — including the atlas campaign, whose pre-pass peeks
@@ -259,6 +261,33 @@ TEST(DeterminismTest, TimelineNeverPerturbsResults) {
   }
   // The runs above actually replayed (sanity: the snapshot was consulted).
   EXPECT_GT(obs::MetricsRegistry::global().counter("timeline.replay.hit").value(), 0u);
+}
+
+TEST(DeterminismTest, Sgp4WorldIdenticalAcrossThreadCounts) {
+  // SGP4 serving queries gate against grid frames memoized per thread,
+  // so pool workers each fill their own memo while the timeline build
+  // and the shards query. The world must still evaluate to the same
+  // bytes at every thread count, with the timeline on and off.
+  synth::ScenarioSpec spec = synth::generate_scenario(908);
+  for (auto& net : spec.networks) {
+    if (net.orbit != orbit::OrbitClass::geo) net.model = orbit::OrbitModel::sgp4;
+  }
+  const synth::GeneratedWorld gw(spec);
+  orbit::EpochTimeline::clear_installed();
+  matrix::EvalOptions opts;
+  opts.threads = 1;
+  opts.use_timeline = false;
+  const std::string baseline = matrix::evaluate_world(gw, opts).report;
+  ASSERT_FALSE(baseline.empty());
+  for (const bool timeline : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      opts.threads = threads;
+      opts.use_timeline = timeline;
+      EXPECT_EQ(baseline, matrix::evaluate_world(gw, opts).report)
+          << threads << " threads, timeline " << (timeline ? "on" : "off");
+      orbit::EpochTimeline::clear_installed();
+    }
+  }
 }
 
 TEST(DeterminismTest, RepeatedRunsIdentical) {

@@ -125,7 +125,7 @@ TEST(Golden, AblationWeather) {
 // while a fault plan rewrites gateway availability and reconfig cadence
 // mid-campaign: snapshots built without a plan must never leak stale
 // samples into a fault-plan run — the era keys travel with the snapshot,
-// so affected lookups fall back per era (to the access-interval index)
+// so affected lookups fall back per era (to the exact path)
 // while everything else keeps replaying. Compares the identify_snos
 // walkthrough accelerated vs exact (--no-timeline) under the shipped
 // example plan at every snapshot thread count.

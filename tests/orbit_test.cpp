@@ -14,7 +14,6 @@
 #include "geo/geodesy.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/access.hpp"
-#include "orbit/access_index.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/shell.hpp"
 #include "orbit/timeline.hpp"
@@ -30,8 +29,8 @@ std::shared_ptr<const Constellation> starlink() {
   return c;
 }
 
-/// Starlink's first shell on the SGP4 backend: the access index gates it
-/// with the propagator's conservative altitude/rate bounds instead of
+/// Starlink's first shell on the SGP4 backend: the SGP4 cone sweep gates
+/// it with the propagator's conservative altitude/rate bounds instead of
 /// per-shell Walker geometry.
 std::shared_ptr<const Constellation> starlink_sgp4() {
   static const auto c = std::make_shared<const Constellation>(
@@ -453,54 +452,149 @@ void expect_same_visible(const std::optional<VisibleSat>& a,
   EXPECT_TRUE(same_bits(a->position.alt_km, b->position.alt_km));
 }
 
-TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
-  for (const auto& c : {starlink(), starlink_sgp4()}) {
-    const auto net = make_starlink_access(c);
-    const double min_elev = net.config().min_elevation_deg;
-    // Walker networks have no index: serving is the exact sweep itself.
-    ASSERT_EQ(net.access_index() == nullptr, c->model() == OrbitModel::walker);
-    for (const double lat : {47.3, -36.9, 61.2}) {
-      for (double t = 0; t < 600.0; t += 45.0) {
-        const geo::GeoPoint user{lat, -122.3, 0};
-        SCOPED_TRACE(std::string(to_string(c->model())) + " lat=" +
-                     std::to_string(lat) + " t=" + std::to_string(t));
-        if (c->model() == OrbitModel::walker) {
-          expect_same_visible(net.serving_sat_at_epoch(user, t),
-                              c->best_visible(user, t, min_elev));
-          continue;
-        }
-        const auto cands = net.access_index()->candidates_for_test(user, t);
-        for (const auto& v : c->visible(user, t, min_elev)) {
-          EXPECT_TRUE(std::find(cands.begin(), cands.end(), v.id) != cands.end());
-        }
-        // The gate is tight enough to be useful, not a degenerate "all".
-        EXPECT_LT(cands.size(), c->total_sats() / 10);
+/// Visibility cone gate for one altitude, the same formula best_visible
+/// uses (cone_cos_gate in constellation.cpp).
+double cone_gate(double altitude_km, double min_elev_deg) {
+  const double e_min = geo::deg_to_rad(min_elev_deg);
+  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + altitude_km);
+  const double theta_max =
+      std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
+  return std::cos(theta_max + 1e-6);
+}
+
+void ground_unit(const geo::GeoPoint& g, double& gx, double& gy, double& gz) {
+  const double lat = geo::deg_to_rad(g.lat_deg);
+  const double lon = geo::deg_to_rad(g.lon_deg);
+  gx = std::cos(lat) * std::cos(lon);
+  gy = std::cos(lat) * std::sin(lon);
+  gz = std::sin(lat);
+}
+
+/// The SGP4 branch best_visible ran before the grid-frame sweep: a full
+/// batch frame at t, the unwidened cone gate, and strict-improvement
+/// selection over every satellite that clears it.
+std::optional<VisibleSat> oracle_sgp4_best_visible(const Constellation& c,
+                                                   const geo::GeoPoint& ground,
+                                                   double t, double min_elev) {
+  const auto& prop = static_cast<const Sgp4Propagator&>(c.propagator());
+  BatchFrame frame;
+  prop.batch().advance(t, frame);
+  double gx, gy, gz;
+  ground_unit(ground, gx, gy, gz);
+  const double gate = cone_gate(prop.max_gate_altitude_km(), min_elev);
+  std::optional<VisibleSat> best;
+  for (std::size_t f = 0; f < frame.size(); ++f) {
+    const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
+    double ux, uy, uz;
+    ground_unit(pos, ux, uy, uz);
+    if (gx * ux + gy * uy + gz * uz < gate) continue;
+    const double elev = geo::elevation_deg(ground, pos);
+    if (elev >= min_elev && (!best || elev > best->elevation_deg)) {
+      best = VisibleSat{c.sat_id_from_flat(f), pos, elev,
+                        geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0}, pos)};
+    }
+  }
+  return best;
+}
+
+/// Every satellite of a full batch frame at t above min_elev, in
+/// canonical order: the visible set with no prefilter at all.
+std::vector<SatId> full_frame_visible(const Constellation& c, const geo::GeoPoint& ground,
+                                      double t, double min_elev) {
+  BatchFrame frame;
+  c.propagator().batch().advance(t, frame);
+  std::vector<SatId> out;
+  for (std::size_t f = 0; f < frame.size(); ++f) {
+    const geo::GeoPoint pos{frame.lat_deg[f], frame.lon_deg[f], frame.alt_km[f]};
+    if (geo::elevation_deg(ground, pos) >= min_elev) out.push_back(c.sat_id_from_flat(f));
+  }
+  return out;
+}
+
+/// SGP4 inputs for the sweep oracles: Starlink's first shell, and every
+/// shell set of generated worlds 908, 382 and 702 on the SGP4 backend.
+std::vector<std::shared_ptr<const Constellation>> sgp4_constellations() {
+  std::vector<std::shared_ptr<const Constellation>> out = {starlink_sgp4()};
+  for (const std::uint64_t seed : {908u, 382u, 702u}) {
+    for (const auto& net : synth::generate_scenario(seed).networks) {
+      if (!net.shells.empty()) {
+        out.push_back(std::make_shared<const Constellation>(net.shells, OrbitModel::sgp4));
       }
     }
   }
+  return out;
+}
+
+/// Query times: on the 60 s grid, exactly half a step off it (the widest
+/// gate, on both sides of a grid instant), and out to 1e6 s.
+const std::vector<double> kSweepTimes = {0.0,    30.0,    60.0,     90.0,    1770.0,
+                                         1830.0, 3600.0,  5430.0,   86430.0, 999990.0,
+                                         1e6,    1000050.0};
+
+/// Ground points: mid latitudes, both poles, the equator and the
+/// antimeridian.
+const std::vector<geo::GeoPoint> kSweepUsers = {
+    {47.61, -122.33, 0}, {-33.87, 151.2, 0}, {21.3, -157.85, 0}, {61.2, 10.0, 0},
+    {0.0, 180.0, 0},     {0.0, -180.0, 0},   {90.0, 0.0, 0},     {-90.0, 0.0, 0},
+    {5.0, 100.0, 0},     {-52.0, -70.0, 0}};
+
+TEST(AccessIndexTest, CandidateListIsSupersetOfVisibleSet) {
+  std::size_t checked = 0;
+  for (const auto& c : sgp4_constellations()) {
+    const auto& prop = static_cast<const Sgp4Propagator&>(c->propagator());
+    for (const double min_elev : {10.0, 25.0}) {
+      for (const auto& user : kSweepUsers) {
+        double gx, gy, gz;
+        ground_unit(user, gx, gy, gz);
+        for (const double t : kSweepTimes) {
+          SCOPED_TRACE("sats=" + std::to_string(c->total_sats()) +
+                       " min_elev=" + std::to_string(min_elev) + " lat=" +
+                       std::to_string(user.lat_deg) + " lon=" +
+                       std::to_string(user.lon_deg) + " t=" + std::to_string(t));
+          std::vector<SatId> cands;
+          const std::size_t tested = sgp4_cone_sweep(
+              prop, gx, gy, gz, t, cone_gate(prop.max_gate_altitude_km(), min_elev),
+              [&](std::size_t f, const geo::GeoPoint&) {
+                cands.push_back(c->sat_id_from_flat(f));
+              });
+          EXPECT_EQ(tested, c->total_sats());
+          const auto want = full_frame_visible(*c, user, t, min_elev);
+          for (const SatId& id : want) {
+            EXPECT_TRUE(std::find(cands.begin(), cands.end(), id) != cands.end());
+          }
+          std::vector<SatId> got;
+          for (const auto& v : c->visible(user, t, min_elev)) got.push_back(v.id);
+          EXPECT_TRUE(got == want);
+          checked += want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  // That the gate is tight enough to be useful, not a degenerate "all",
+  // is Sgp4ConeSweepTest.StarlinkQueryPropagatesOnlyCandidates.
 }
 
 TEST(AccessIndexTest, ServingMatchesFullSweepBitForBit) {
-  for (const auto& c : {starlink(), starlink_sgp4()}) {
+  std::size_t served = 0;
+  for (const auto& c : sgp4_constellations()) {
     const auto net = make_starlink_access(c);
-    const double min_elev = net.config().min_elevation_deg;
-    for (const double lat : {47.61, 21.3, -33.87}) {
-      for (const double lon : {-122.33, -157.85, 151.2}) {
-        for (double epoch = 0; epoch < 900.0; epoch += 15.0) {
-          const geo::GeoPoint user{lat, lon, 0};
-          SCOPED_TRACE(std::string(to_string(c->model())) + " lat=" +
-                       std::to_string(lat) + " lon=" + std::to_string(lon) +
-                       " epoch=" + std::to_string(epoch));
-          const auto via_sweep = c->best_visible(user, epoch, min_elev);
-          if (c->model() == OrbitModel::walker) {
-            expect_same_visible(net.serving_sat_at_epoch(user, epoch), via_sweep);
-          } else {
-            expect_same_visible(net.access_index()->serving(user, epoch), via_sweep);
-          }
-        }
+    const double net_elev = net.config().min_elevation_deg;
+    for (const auto& user : kSweepUsers) {
+      for (const double t : kSweepTimes) {
+        SCOPED_TRACE("sats=" + std::to_string(c->total_sats()) + " lat=" +
+                     std::to_string(user.lat_deg) + " lon=" +
+                     std::to_string(user.lon_deg) + " t=" + std::to_string(t));
+        const auto want = oracle_sgp4_best_visible(*c, user, t, net_elev);
+        expect_same_visible(net.serving_sat_at_epoch(user, t), want);
+        expect_same_visible(c->best_visible(user, t, net_elev), want);
+        expect_same_visible(c->best_visible(user, t, 10.0),
+                            oracle_sgp4_best_visible(*c, user, t, 10.0));
+        if (want) ++served;
       }
     }
   }
+  EXPECT_GT(served, 0u);
 }
 
 TEST(AccessIndexTest, SamplesByteIdenticalCacheOnAndOff) {
@@ -592,23 +686,9 @@ std::vector<SatId> oracle_cone_sweep(const std::vector<Shell>& shells, double gx
 
 /// Per-shell visibility cone gate, the same formula best_visible uses.
 std::vector<double> cone_gates(const std::vector<Shell>& shells, double min_elev_deg) {
-  const double e_min = geo::deg_to_rad(min_elev_deg);
   std::vector<double> gates;
-  for (const Shell& shell : shells) {
-    const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + shell.altitude_km);
-    const double theta_max =
-        std::acos(std::clamp(ratio * std::cos(e_min), -1.0, 1.0)) - e_min;
-    gates.push_back(std::cos(theta_max + 1e-6));
-  }
+  for (const Shell& shell : shells) gates.push_back(cone_gate(shell.altitude_km, min_elev_deg));
   return gates;
-}
-
-void ground_unit(const geo::GeoPoint& g, double& gx, double& gy, double& gz) {
-  const double lat = geo::deg_to_rad(g.lat_deg);
-  const double lon = geo::deg_to_rad(g.lon_deg);
-  gx = std::cos(lat) * std::cos(lon);
-  gy = std::cos(lat) * std::sin(lon);
-  gz = std::sin(lat);
 }
 
 TEST(WalkerConeSweepTest, PlaneSkipEmitsTheOracleCandidateSequence) {
@@ -711,14 +791,12 @@ TEST(WalkerConeSweepTest, StarlinkQueryCountsOnlyGateTestedSatellites) {
   auto& reg = obs::MetricsRegistry::global();
   obs::Counter& swept = reg.counter("orbit.best_visible.sats_swept");
   obs::Counter& evals = reg.counter("orbit.best_visible.exact_evals");
-  obs::Counter& slabs = reg.counter("access.cache.slab_build");
   const auto c = starlink();
   const auto net = make_starlink_access(c);
   const geo::GeoPoint user{47.6, -122.3, 0};
   const double epoch = 4500.0;  // an epoch boundary: sample() queries it
 
-  const std::uint64_t swept0 = swept.value(), evals0 = evals.value(),
-                      slabs0 = slabs.value();
+  const std::uint64_t swept0 = swept.value(), evals0 = evals.value();
   ASSERT_TRUE(net.sample(user, epoch).reachable);
   const std::uint64_t swept_n = swept.value() - swept0;
 
@@ -729,7 +807,22 @@ TEST(WalkerConeSweepTest, StarlinkQueryCountsOnlyGateTestedSatellites) {
   EXPECT_GT(swept_n, 0u);
   EXPECT_LT(swept_n, c->total_sats());
   EXPECT_EQ(evals.value() - evals0, oracle.size());
-  EXPECT_EQ(slabs.value() - slabs0, 0u);
+}
+
+TEST(Sgp4ConeSweepTest, StarlinkQueryPropagatesOnlyCandidates) {
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter& swept = reg.counter("orbit.best_visible.sats_swept");
+  obs::Counter& evals = reg.counter("orbit.best_visible.exact_evals");
+  const auto c = starlink_sgp4();
+  const geo::GeoPoint user{47.6, -122.3, 0};
+  const std::uint64_t swept0 = swept.value(), evals0 = evals.value();
+  ASSERT_TRUE(c->best_visible(user, 4530.0, 25.0).has_value());
+  // Every satellite is dot-tested against the grid frame; only the few
+  // inside the widened cone run SGP4 at the query instant.
+  EXPECT_EQ(swept.value() - swept0, c->total_sats());
+  const std::uint64_t evals_n = evals.value() - evals0;
+  EXPECT_GT(evals_n, 0u);
+  EXPECT_LT(evals_n, c->total_sats() / 10);
 }
 
 // ------------------------------------------------- parameterized sweeps

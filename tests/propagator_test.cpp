@@ -2,10 +2,13 @@
 // reference ephemeris vectors, BatchPropagator vs scalar bit-identity,
 // TLE round-trips, and the orbit-layer bugfix regressions (visible()
 // cone prefilter, zero-size shell validation, GEO sentinel ids).
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -269,7 +272,7 @@ TEST(BatchPropagatorTest, WalkerBatchMatchesScalarBitForBit) {
   const Constellation c(starlink_shells());
   BatchFrame frame;
   for (const double t : {0.0, 123.5, 5400.0, 86400.0}) {
-    c.propagator().batch().advance(t, false, frame);
+    c.propagator().batch().advance(t, frame);
     ASSERT_EQ(frame.size(), c.total_sats());
     std::size_t f = 0;
     for (std::size_t s = 0; s < c.shells().size(); ++s) {
@@ -292,7 +295,7 @@ TEST(BatchPropagatorTest, WalkerBatchMatchesScalarBitForBit) {
 TEST(BatchPropagatorTest, Sgp4BatchMatchesScalarBitForBit) {
   const Constellation c({starlink_shell1()}, OrbitModel::sgp4);
   BatchFrame frame;
-  c.propagator().batch().advance(900.0, true, frame);
+  c.propagator().batch().advance(900.0, frame);
   ASSERT_EQ(frame.size(), c.total_sats());
   for (std::size_t f = 0; f < frame.size(); ++f) {
     const geo::GeoPoint pos = c.propagator().position(f, 900.0);
@@ -381,38 +384,120 @@ TEST(Sgp4ConstellationTest, IdentityHashDistinguishesOrbitModels) {
 TEST(VisibleRegressionTest, ConePrefilterIsBitIdenticalToNaiveSweep) {
   // The historical visible() ran position() + elevation_deg for every
   // satellite. The cone-prefiltered version must reproduce that scan's
-  // output exactly: same satellites, same order, same doubles.
-  const Constellation c(starlink_shells());
-  for (const double lat : {-55.0, 0.1, 47.6, 69.5}) {
-    for (const double t : {0.0, 911.0, 5432.1}) {
-      const geo::GeoPoint ground{lat, -122.3, 0.0};
-      std::vector<VisibleSat> naive;
-      for (std::size_t s = 0; s < c.shells().size(); ++s) {
-        const Shell& shell = c.shells()[s];
-        for (std::size_t p = 0; p < shell.planes; ++p) {
-          for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
-            const SatId id{s, p, i};
-            const geo::GeoPoint pos = c.position(id, t);
-            const double elev = geo::elevation_deg(ground, pos);
-            if (elev >= 25.0) {
-              naive.push_back({id, pos, elev,
-                               geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0},
-                                                   pos)});
+  // output exactly: same satellites, same order, same doubles — on the
+  // Walker sweep and on the SGP4 grid-frame sweep (whose times include
+  // points half a grid step from the nearest grid instant, where its
+  // gate is widest).
+  const Constellation walker(starlink_shells());
+  const Constellation sgp4({starlink_shell1()}, OrbitModel::sgp4);
+  for (const Constellation* c : {&walker, &sgp4}) {
+    for (const double lat : {-55.0, 0.1, 47.6, 69.5}) {
+      for (const double t : {0.0, 90.0, 911.0, 5432.1, 999990.0}) {
+        const geo::GeoPoint ground{lat, -122.3, 0.0};
+        std::vector<VisibleSat> naive;
+        for (std::size_t s = 0; s < c->shells().size(); ++s) {
+          const Shell& shell = c->shells()[s];
+          for (std::size_t p = 0; p < shell.planes; ++p) {
+            for (std::size_t i = 0; i < shell.sats_per_plane; ++i) {
+              const SatId id{s, p, i};
+              const geo::GeoPoint pos = c->position(id, t);
+              const double elev = geo::elevation_deg(ground, pos);
+              if (elev >= 25.0) {
+                naive.push_back({id, pos, elev,
+                                 geo::slant_range_km({ground.lat_deg, ground.lon_deg, 0.0},
+                                                     pos)});
+              }
             }
           }
         }
-      }
-      const auto fast = c.visible(ground, t, 25.0);
-      ASSERT_EQ(fast.size(), naive.size()) << "lat=" << lat << " t=" << t;
-      for (std::size_t k = 0; k < fast.size(); ++k) {
-        EXPECT_EQ(fast[k].id, naive[k].id) << "k=" << k;
-        EXPECT_EQ(dbits(fast[k].elevation_deg), dbits(naive[k].elevation_deg));
-        EXPECT_EQ(dbits(fast[k].slant_km), dbits(naive[k].slant_km));
-        EXPECT_EQ(dbits(fast[k].position.lat_deg), dbits(naive[k].position.lat_deg));
-        EXPECT_EQ(dbits(fast[k].position.lon_deg), dbits(naive[k].position.lon_deg));
+        const std::string where = std::string(to_string(c->model())) +
+                                  " lat=" + std::to_string(lat) + " t=" + std::to_string(t);
+        const auto fast = c->visible(ground, t, 25.0);
+        ASSERT_EQ(fast.size(), naive.size()) << where;
+        for (std::size_t k = 0; k < fast.size(); ++k) {
+          EXPECT_EQ(fast[k].id, naive[k].id) << where << " k=" << k;
+          EXPECT_EQ(dbits(fast[k].elevation_deg), dbits(naive[k].elevation_deg));
+          EXPECT_EQ(dbits(fast[k].slant_km), dbits(naive[k].slant_km));
+          EXPECT_EQ(dbits(fast[k].position.lat_deg), dbits(naive[k].position.lat_deg));
+          EXPECT_EQ(dbits(fast[k].position.lon_deg), dbits(naive[k].position.lon_deg));
+          EXPECT_EQ(dbits(fast[k].position.alt_km), dbits(naive[k].position.alt_km));
+        }
       }
     }
   }
+}
+
+TEST(Sgp4ConeSweepTest, NearDecayBestVisibleMatchesDirectCheck) {
+  // The STR#3 near-Earth satellite decays ~266 days out, and a copy
+  // with its epoch 40 s earlier decays 40 s earlier in simulation time
+  // (t = 0 is the newest epoch), in the half of its grid step before
+  // the grid instant. Across every second of the grid step
+  // holding each decay instant, best_visible must equal a direct
+  // position + elevation check: the rate bound has to hold for a
+  // satellite dropping out of orbit, and a satellite whose grid-frame
+  // position is already the decayed sentinel must still be found while
+  // it is alive.
+  const std::string copy_l1 =
+      ck("1 88889U          80275.98662169  .00073094  13844-3  66816-4 0    8");
+  const std::string copy_l2 =
+      ck("2 88889  72.8435 115.9689 0086731  52.6988 110.5714 16.05824518  105");
+  std::string err;
+  auto cat = parse_tle_catalog(
+      kStr3NearL1 + "\n" + kStr3NearL2 + "\n" + copy_l1 + "\n" + copy_l2 + "\n", &err);
+  ASSERT_TRUE(cat.has_value()) << err;
+  const Constellation c = Constellation::from_tles(std::move(*cat));
+  const auto& prop = static_cast<const Sgp4Propagator&>(c.propagator());
+  constexpr double kMinElev = 10.0;
+  const auto decayed = [&](std::size_t sat, double t) {
+    return c.position(SatId{0, 0, sat}, t).alt_km < 0.0;
+  };
+
+  std::size_t visible_pairs = 0, sentinel_pairs = 0;
+  for (std::size_t sat = 0; sat < c.total_sats(); ++sat) {
+    // Bisect the decay to the second inside the known window.
+    double alive = 23028000.0, dead = 23029000.0;
+    ASSERT_FALSE(decayed(sat, alive));
+    ASSERT_TRUE(decayed(sat, dead));
+    while (dead - alive > 1.0) {
+      const double mid = std::floor((alive + dead) / 2.0);
+      (decayed(sat, mid) ? dead : alive) = mid;
+    }
+    const double t_k = std::round(dead / Sgp4Propagator::kGridStepSec) *
+                       Sgp4Propagator::kGridStepSec;
+    geo::GeoPoint center = c.position(SatId{0, 0, sat}, alive);
+    for (double t = t_k - 30.0; t <= t_k + 30.0; t += 1.0) {
+      if (!decayed(sat, t)) center = c.position(SatId{0, 0, sat}, t);
+      const double lon_step = 0.5 / std::max(0.1, std::cos(geo::deg_to_rad(center.lat_deg)));
+      for (int i = -16; i <= 16; ++i) {
+        for (int j = -16; j <= 16; ++j) {
+          const geo::GeoPoint ground{std::clamp(center.lat_deg + 0.5 * i, -90.0, 90.0),
+                                     center.lon_deg + lon_step * j, 0.0};
+          std::optional<VisibleSat> want;
+          for (std::size_t k = 0; k < c.total_sats(); ++k) {
+            const geo::GeoPoint pos = c.position(SatId{0, 0, k}, t);
+            const double elev = geo::elevation_deg(ground, pos);
+            if (elev >= kMinElev && (!want || elev > want->elevation_deg)) {
+              want = VisibleSat{SatId{0, 0, k}, pos, elev, 0.0};
+            }
+          }
+          const auto got = c.best_visible(ground, t, kMinElev);
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "sat " << sat << " t=" << t << " ground=" << ground.lat_deg << ","
+              << ground.lon_deg;
+          if (!got) continue;
+          ++visible_pairs;
+          EXPECT_EQ(got->id, want->id);
+          EXPECT_EQ(dbits(got->elevation_deg), dbits(want->elevation_deg));
+          EXPECT_EQ(dbits(got->position.alt_km), dbits(want->position.alt_km));
+          if (prop.grid_frame(t).decayed[got->id.index] != 0) ++sentinel_pairs;
+        }
+      }
+    }
+  }
+  // Both rules were exercised: visible passes at all, and some of them
+  // by a satellite whose grid-frame position was the sentinel.
+  EXPECT_GT(visible_pairs, 0u);
+  EXPECT_GT(sentinel_pairs, 0u);
 }
 
 TEST(ShellValidationTest, ZeroPlanesThrowsDiagnostic) {
